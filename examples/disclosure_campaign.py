@@ -21,9 +21,8 @@ Run:  python examples/disclosure_campaign.py [n_ases]
 import sys
 
 from repro.attacks import expected_windows
-from repro.core import Campaign, ScanConfig, resolver_ranges
+from repro.core import Campaign, resolver_ranges
 from repro.core.outreach import contact_summary
-from repro.scenarios import ScenarioParams, build_internet
 
 
 def exposure(item) -> tuple[int, str]:
@@ -39,8 +38,7 @@ def exposure(item) -> tuple[int, str]:
 
 def main() -> None:
     n_ases = int(sys.argv[1]) if len(sys.argv) > 1 else 100
-    scenario = build_internet(ScenarioParams(seed=314, n_ases=n_ases))
-    campaign = Campaign.run_on(scenario, ScanConfig(duration=150.0))
+    campaign = Campaign.run_default(seed=314, n_ases=n_ases, duration=150.0)
     print(campaign.summary())
 
     ranked = sorted(
@@ -67,7 +65,7 @@ def main() -> None:
     ]
     if not urgent:
         urgent = [item.observation.target for item in ranked[:5]]
-    client = scenario.make_outreach_client()
+    client = campaign.scenario.make_outreach_client()
     contacts = client.discover(urgent)
     print(contact_summary(contacts))
 

@@ -100,8 +100,7 @@ def _resume_mismatches(
 def cmd_scan(args: argparse.Namespace) -> int:
     import json as _json
 
-    from .core.campaign import Campaign
-    from .core.pipeline import PipelineError
+    from .core.pipeline import CampaignSpec, PipelineError
 
     def status(message: str) -> None:
         # Status chatter goes to stderr so stdout carries only the
@@ -172,38 +171,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
         )
         return 2
 
-    progress = None
-    if not args.quiet:
-        from .obs.progress import ProgressReporter
-
-        progress = ProgressReporter(
-            total_shards=0 if args.resume is not None else args.shards
-        )
-
-    try:
-        if args.resume is not None:
-            from .core.pipeline import resume_pipeline
-
-            outcome = resume_pipeline(
-                args.resume, workers=args.workers, progress=progress,
-                hang_timeout=args.hang_timeout,
-                scenario_cache=args.scenario_cache,
-                profile=args.profile,
-                snapshot_interval=args.snapshot_interval,
-                ledger=args.ledger,
-            )
-        elif (
-            args.shards > 1
-            or args.run_dir is not None
-            or args.metrics
-            or args.journal
-            or args.snapshots
-            or args.scenario_cache is not None
-            or faults_payload is not None
-            or topology_payload is not None
-        ):
-            from .core.pipeline import CampaignSpec, run_pipeline
-
+    spec = None
+    if args.resume is None:
+        try:
             spec = CampaignSpec.from_scan_config(
                 seed=args.seed,
                 n_ases=args.n_ases,
@@ -217,42 +187,45 @@ def cmd_scan(args: argparse.Namespace) -> int:
                 faults=faults_payload,
                 topology=topology_payload,
             )
-            outcome = run_pipeline(
-                spec, run_dir=args.run_dir, workers=args.workers,
-                progress=progress, hang_timeout=args.hang_timeout,
-                scenario_cache=args.scenario_cache,
-                profile=args.profile,
-                snapshot_interval=args.snapshot_interval,
-                ledger=args.ledger,
-            )
-        else:
-            campaign = Campaign.run_default(
-                seed=args.seed, n_ases=args.n_ases,
-                duration=args.duration,
-                scan_config=ScanConfig(
-                    duration=args.duration, max_retries=args.retries
-                ),
-                progress=progress,
-            )
-            if progress is not None:
-                progress.finish()
-            print(campaign.summary())
-            print()
-            print(campaign.full_report())
-            from .core.paper import comparison_report
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
-            _banner("Paper shape-claim verdicts")
-            print(comparison_report(campaign))
-            if args.json is not None:
-                campaign.save_results(args.json)
-                status(f"structured results written to {args.json}")
-            return 0
+    progress = None
+    if not args.quiet:
+        from .obs.progress import ProgressReporter
+
+        progress = ProgressReporter(
+            total_shards=0 if spec is None else spec.shards
+        )
+
+    options = dict(
+        workers=args.workers,
+        progress=progress,
+        hang_timeout=args.hang_timeout,
+        scenario_cache=args.scenario_cache,
+        profile=args.profile,
+        snapshot_interval=args.snapshot_interval,
+        ledger=args.ledger,
+    )
+    try:
+        if spec is None:
+            from .core.pipeline import resume_pipeline
+
+            outcome = resume_pipeline(args.resume, **options)
+        else:
+            from .core.pipeline import run_pipeline
+
+            outcome = run_pipeline(spec, run_dir=args.run_dir, **options)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     if progress is not None:
         progress.finish()

@@ -70,7 +70,7 @@ if TYPE_CHECKING:
 #: ``provenance`` header (staged-pipeline release); 3 = provenance
 #: carries the run's identity keys (``scenario_content_key``,
 #: ``topology``, ``fault_plan_digest``) so the cross-run observatory
-#: can gate comparability without re-reading ``scenario.bin``.  Version
+#: can gate comparability without rebuilding the scenario.  Version
 #: 2 artifacts stay readable via
 #: :func:`repro.core.report.normalize_results`.
 RESULTS_SCHEMA_VERSION = 3
@@ -212,8 +212,9 @@ class Campaign:
     targets: TargetSet
     scanner: Scanner | None
     collector: Collector
-    #: wall-clock seconds the scan phase took (set by :meth:`run_on`);
-    #: the perf-pipeline benchmark reads probes/sec from here.
+    #: wall-clock seconds behind :meth:`probes_per_second`: the scan
+    #: phase when the caller timed it, or build through collect when
+    #: :func:`~repro.core.pipeline.run_pipeline` assembled the campaign.
     scan_wall_seconds: float = 0.0
     #: scan accounting; derived from ``scanner`` when not provided.
     metadata: ScanMetadata | None = None
@@ -260,61 +261,25 @@ class Campaign:
     ) -> "Campaign":
         """Build a default synthetic Internet and run the full scan.
 
-        With ``shards > 1`` (or a ``run_dir`` to persist stage
-        artifacts into) the campaign runs through the staged pipeline:
-        the target ASes are partitioned across shard worker processes
-        and the per-shard observations merged into a result
-        byte-identical to the single-process run.
+        Runs through the staged pipeline
+        (:func:`~repro.core.pipeline.run_pipeline`): with ``shards > 1``
+        the target ASes are partitioned across shard workers and the
+        per-shard observations merged into a result byte-identical to
+        the single-shard run; ``run_dir`` persists the stage artifacts.
         """
-        from ..scenarios import ScenarioParams, build_internet
+        from .pipeline import CampaignSpec, run_pipeline
 
-        if shards > 1 or run_dir is not None:
-            from .pipeline import CampaignSpec, run_pipeline
-
-            spec = CampaignSpec.from_scan_config(
-                seed=seed,
-                n_ases=n_ases,
-                shards=shards,
-                config=scan_config or ScanConfig(duration=duration),
-            )
-            outcome = run_pipeline(
-                spec, run_dir=run_dir, workers=workers, progress=progress
-            )
-            assert outcome.campaign is not None
-            return outcome.campaign
-
-        scenario = build_internet(ScenarioParams(seed=seed, n_ases=n_ases))
-        return cls.run_on(
-            scenario,
-            scan_config or ScanConfig(duration=duration),
-            progress=progress,
+        spec = CampaignSpec.from_scan_config(
+            seed=seed,
+            n_ases=n_ases,
+            shards=shards,
+            config=scan_config or ScanConfig(duration=duration),
         )
-
-    @classmethod
-    def run_on(
-        cls,
-        scenario: "BuiltScenario",
-        config: ScanConfig | None = None,
-        *,
-        progress=None,
-    ) -> "Campaign":
-        """Run a campaign over an existing scenario."""
-        from ..obs.spans import SpanRecorder, activate, span
-
-        targets = scenario.target_set()
-        scanner, collector = scenario.make_scanner(config or ScanConfig())
-        if progress is not None:
-            scanner.bind_progress(progress)
-        recorder = SpanRecorder()
-        with activate(recorder), span("campaign.scan") as scan_span:
-            scanner.run()
-        return cls(
-            scenario,
-            targets,
-            scanner,
-            collector,
-            scan_wall_seconds=scan_span.wall,
+        outcome = run_pipeline(
+            spec, run_dir=run_dir, workers=workers, progress=progress
         )
+        assert outcome.campaign is not None
+        return outcome.campaign
 
     def probes_per_second(self) -> float:
         """Scan-phase throughput (0.0 if timing was not captured)."""
@@ -461,7 +426,7 @@ class Campaign:
             "wall_seconds": self.metadata.wall_seconds,
             # Run-identity keys (schema v3): everything `repro-dsav
             # diff` needs to decide whether two runs are comparable,
-            # without re-reading scenario.bin or the manifest.
+            # without rebuilding the scenario or reading the manifest.
             "scenario_content_key": content_key(self.scenario.params),
             "topology": (
                 "tiered"

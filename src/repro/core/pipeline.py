@@ -1,9 +1,9 @@
 """Staged campaign pipeline: build → scan → collect → analyze → report.
 
-The one-call :class:`~repro.core.campaign.Campaign` API runs the whole
-study inside a single process.  This module breaks the same campaign
-into five explicit stages, each consuming and producing a versioned,
-JSON-serializable artifact:
+Every campaign result comes from :func:`run_pipeline` (the one-call
+:meth:`~repro.core.campaign.Campaign.run_default` API is a thin wrapper
+over it).  It runs the study as five explicit stages, each consuming
+and producing a versioned, JSON-serializable artifact:
 
 ====================  =====================================================
 stage                 artifact
@@ -19,13 +19,13 @@ stage                 artifact
 The scan stage is *shard-parallel*: the target ASes are partitioned into
 ``shards`` disjoint subsets — probe-weighted by default, so shards carry
 equal probe load and finish together (``asn % shards`` remains available
-as ``partition="modulo"``) — and each subset is scanned by its own
-worker process.  The scenario is built **once**, in the parent: forked
-workers inherit it copy-on-write, non-fork workers load the compiled
-scenario artifact the parent wrote into the run directory (see
-:mod:`repro.scenarios.compiled`), and only as a last resort does a
-worker rebuild from the spec.  The merge in ``collect`` folds the
-per-shard observations back together.
+as ``partition="modulo"``) — and each subset is scanned inline or by
+its own worker process.  The parent builds (or cache-loads) the
+scenario for the analyze stage; a forked worker inherits that object
+copy-on-write, and every other shard — inline, or in a spawned worker
+where the platform cannot fork — builds a private copy from the spec.
+The merge in ``collect`` folds the per-shard observations back
+together.
 
 Why the merge is byte-identical to the single-process run
 ---------------------------------------------------------
@@ -38,10 +38,10 @@ measurement infrastructure:
   pure functions of ``(seed, packet content)`` — never a position in a
   consumed RNG stream (see :mod:`repro.netsim.determinism`);
 * per-AS behaviour (resolvers, ACLs, forwarders) is driven by per-AS
-  RNGs derived from ``(seed, asn)``, so every way a worker can obtain
-  the full Internet — fork-inherited from the parent, loaded from the
-  compiled artifact, or rebuilt from the spec — yields bit-identical
-  ASes regardless of which shard scans them;
+  RNGs derived from ``(seed, asn)``, so both ways a shard can obtain
+  the full Internet — fork-inherited from the parent, or built from
+  the spec — yield bit-identical ASes regardless of which shard scans
+  them;
 * the shared public DNS service is *stateless* (``NullCache``), so its
   responses are pure functions of the individual query.
 
@@ -66,11 +66,6 @@ import multiprocessing.connection
 import os
 import signal
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    wait,
-)
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -100,7 +95,7 @@ STAGES = ("build", "scan", "collect", "analyze", "report")
 #: crashed or killed worker) before the run is declared partial.
 MAX_SHARD_ATTEMPTS = 3
 
-#: Seconds between hung-worker heartbeat checks while a pool is busy.
+#: Seconds between hung-worker heartbeat checks while workers run.
 _HANG_POLL = 2.0
 
 
@@ -198,12 +193,9 @@ class CampaignSpec:
             # Validate eagerly: a bad plan should fail at spec time,
             # not inside a worker process mid-scan.
             FaultPlan.from_payload(self.faults)
-        if self.topology is not None:
-            TopologySpec.from_payload(self.topology)
-        if self.evolution is not None:
-            from ..campaigns.evolution import validate_evolution_payload
-
-            validate_evolution_payload(self.evolution)
+        # Topology, evolution and AS count are checked by the params
+        # the spec builds.
+        self.scenario_params()
         if self.asn_sample is not None:
             rate = self.asn_sample.get("rate")
             seed = self.asn_sample.get("seed")
@@ -379,11 +371,6 @@ class RunDirectory:
     def faults_path(self) -> Path:
         return self.path / "faults.json"
 
-    @property
-    def scenario_path(self) -> Path:
-        """The compiled-scenario artifact shared by non-fork workers."""
-        return self.path / "scenario.bin"
-
     def profile_path(self, shard_id: int) -> Path:
         """cProfile stats dumped by shard workers under ``--profile``."""
         return self.path / f"profile-{shard_id:03d}.pstats"
@@ -534,7 +521,7 @@ def _read_artifact(
 class ShardHeartbeat:
     """Liveness file a scan worker refreshes as it sends probes.
 
-    The parent reads ``heartbeat-NNN.json`` while the pool runs; a
+    The parent reads ``heartbeat-NNN.json`` while workers run; a
     worker whose heartbeat goes stale past the hang timeout is killed
     and its shard re-executed like any other crash.
     """
@@ -658,82 +645,48 @@ class _CrashFuse:
 # ---------------------------------------------------------------------------
 
 #: the parent pipeline's live scenario, published just before shard
-#: workers fork so they inherit it copy-on-write.  Only ever *used* in a
-#: fork child (``_IN_FORK_CHILD``): the parent needs its copy pristine
-#: for the analyze stage, and each child's scan mutations stay private
-#: to that child's address space.
+#: workers fork so they inherit it copy-on-write.  Only ever *used* by
+#: a worker job (``in_worker``): the parent needs its copy pristine for
+#: the analyze stage, and each child's scan mutations stay private to
+#: that child's address space.
 _SHARED_SCENARIO = None
-#: serialized artifact of the same scenario, for workers that run in
-#: this very process (inline shards) and therefore must deserialize a
-#: private copy instead of touching the parent's object.
-_SHARED_BLOB: bytes | None = None
-#: content key both of the above were produced under.
+#: content key the published scenario was built under.
 _SHARED_KEY: str | None = None
-#: set in the fork-pool child bootstrap, never in the parent.
-_IN_FORK_CHILD = False
 
 
-def _publish_scenario(scenario, blob: bytes | None, key: str) -> None:
-    global _SHARED_SCENARIO, _SHARED_BLOB, _SHARED_KEY
+def _publish_scenario(scenario, key: str | None) -> None:
+    global _SHARED_SCENARIO, _SHARED_KEY
     _SHARED_SCENARIO = scenario
-    _SHARED_BLOB = blob
     _SHARED_KEY = key
 
 
-def _retract_scenario() -> None:
-    global _SHARED_SCENARIO, _SHARED_BLOB, _SHARED_KEY
-    _SHARED_SCENARIO = None
-    _SHARED_BLOB = None
-    _SHARED_KEY = None
-
-
 def _acquire_scenario(spec: CampaignSpec, payload: dict[str, Any]):
-    """Obtain the shard's scenario: inherit, load, or (last) rebuild.
+    """Obtain the shard's scenario: inherit the parent's, or build one.
 
-    Preference order and why:
-
-    1. **fork-inherited** — zero cost: the parent built it once and the
-       fork's copy-on-write pages carry it into the child.
-    2. **in-process blob** — inline shards deserialize a private copy so
-       their scan never mutates the parent's analyze-stage scenario.
-    3. **run-directory artifact** — workers with no process lineage to
-       the builder (spawn pools, a resumed run on another machine).
-    4. **rebuild from spec** — always available, always identical; the
-       other paths are purely faster routes to the same object graph.
+    1. **inherited** — a worker job forked from the pipeline parent
+       takes the published scenario at zero cost: the fork's
+       copy-on-write pages carry it into the child.
+    2. **built** — every other shard builds a private copy from the
+       spec: inline shards, whose scan must not mutate the parent's
+       analyze-stage scenario, and spawned workers, which inherit no
+       memory.  One build costs less than serializing plus
+       deserializing a copy would, and the build is a pure function of
+       the spec, so both routes yield bit-identical worlds.
 
     Returns ``(scenario, source, seconds)`` where *source* names the
-    path taken (``inherited``/``blob``/``artifact``/``built``).
+    route taken (``inherited``/``built``).
     """
-    from ..scenarios import ScenarioParams, build_internet
-    from ..scenarios.compiled import (
-        ScenarioArtifactError,
-        content_key,
-        deserialize_scenario,
-        load_scenario,
-    )
+    from ..scenarios import build_internet
+    from ..scenarios.compiled import content_key
 
     params = spec.scenario_params()
-    key = content_key(params)
     start = time.perf_counter()
     if (
-        _IN_FORK_CHILD
+        payload.get("in_worker")
         and _SHARED_SCENARIO is not None
-        and _SHARED_KEY == key
+        and _SHARED_KEY == content_key(params)
     ):
         return _SHARED_SCENARIO, "inherited", time.perf_counter() - start
-    if _SHARED_BLOB is not None and _SHARED_KEY == key:
-        scenario = deserialize_scenario(_SHARED_BLOB, expect_key=key)
-        return scenario, "blob", time.perf_counter() - start
-    run_dir = payload.get("run_dir")
-    if run_dir is not None:
-        artifact_path = RunDirectory(run_dir).scenario_path
-        if artifact_path.exists():
-            try:
-                scenario = load_scenario(artifact_path, expect_key=key)
-            except (ScenarioArtifactError, OSError):
-                pass  # stale or torn artifact: fall through to rebuild
-            else:
-                return scenario, "artifact", time.perf_counter() - start
     scenario = build_internet(params)
     return scenario, "built", time.perf_counter() - start
 
@@ -743,17 +696,16 @@ def run_scan_shard(
 ) -> dict[str, Any]:
     """Scan one shard of the target space; module-level for pickling.
 
-    The worker acquires the synthetic Internet via
-    :func:`_acquire_scenario` — fork-inherited from the parent when
-    possible, loaded from the compiled artifact otherwise, rebuilt from
-    the spec as a last resort; all three yield bit-identical worlds —
-    then scans only its assigned targets (the explicit ``asns`` list in
-    the job, or the legacy ``asn % shards`` split).  The campaign
-    duration is pinned to the globally computed value so probes are
-    paced exactly as in the unsharded run.
+    The shard acquires the synthetic Internet via
+    :func:`_acquire_scenario` — fork-inherited from the parent in a
+    forked worker, built from the spec everywhere else; both yield
+    bit-identical worlds — then scans only the targets of the ASes the
+    job lists under ``asns``.  The campaign duration is pinned to the
+    globally computed value so probes are paced exactly as in the
+    unsharded run.
 
     ``progress`` (a live reporter, inline shards only — it does not
-    survive pickling into a pool worker) receives per-probe callbacks.
+    cross into a worker process) receives per-probe callbacks.
     """
     spec = CampaignSpec.from_payload(payload["spec"])
     shard_id = payload["shard_id"]
@@ -811,8 +763,7 @@ def run_scan_shard(
             )
 
     timings: dict[str, Any] = {}
-    shard_asns = payload.get("asns")
-    members = frozenset(shard_asns) if shard_asns is not None else None
+    members = frozenset(payload["asns"])
 
     def _scan() -> tuple[Any, Any, float]:
         with span("scan.shard", shard=shard_id):
@@ -824,16 +775,7 @@ def run_scan_shard(
                 timings["acquire_seconds"] = acquire_wall
                 full = scenario.target_set()
                 shard_targets = TargetSet(
-                    targets=[
-                        t
-                        for t in full.targets
-                        if _sample_keeps(spec.asn_sample, t.asn)
-                        and (
-                            t.asn in members
-                            if members is not None
-                            else t.asn % spec.shards == shard_id
-                        )
-                    ],
+                    targets=[t for t in full.targets if t.asn in members],
                     stats=full.stats,
                 )
                 config = spec.scan_config()
@@ -888,9 +830,9 @@ def run_scan_shard(
             return scanner, collector, run_span.wall if run_span else 0.0
 
     # Flush buffered observability tails when a worker is torn down
-    # early: the hang reaper's SIGTERM, a pool shutdown, or a plain
-    # process exit.  Only complete, already-serialized lines are
-    # written, so a half-dead worker still leaves parseable files.
+    # early: the hang reaper's SIGTERM or a plain process exit.  Only
+    # complete, already-serialized lines are written, so a half-dead
+    # worker still leaves parseable files.
     flush_tail = None
     previous_sigterm = None
     if payload.get("in_worker") and (
@@ -946,8 +888,7 @@ def run_scan_shard(
             profiler.disable()
             profiler.dump_stats(str(rd.profile_path(shard_id)))
         if flush_tail is not None:
-            # Pool workers are reused across jobs: this job's handler
-            # must not outlive it.
+            # This job's handlers must not outlive it.
             atexit.unregister(flush_tail)
             if previous_sigterm is not None:
                 try:
@@ -1049,27 +990,22 @@ def _split_budget(budget: int, weights: list[int]) -> list[int]:
     return shares
 
 
-def _sample_keeps(sample: dict[str, Any] | None, asn: int) -> bool:
-    """Deterministic AS-sampling predicate (``spec.asn_sample``).
-
-    Content-keyed on ``(sample seed, asn)`` so parent and every worker
-    — and a crashed run's resume — select the identical subset.
-    """
-    if sample is None:
-        return True
-    return stable_fraction(
-        int(sample["seed"]), "as-sample", int(asn)
-    ) < float(sample["rate"])
-
-
 def _sample_targets(
     sample: dict[str, Any] | None, targets: TargetSet
 ) -> TargetSet:
+    """Deterministic AS sampling of *targets* (``spec.asn_sample``).
+
+    Content-keyed on ``(sample seed, asn)`` so a crashed run's resume
+    selects the identical subset.
+    """
     if sample is None:
         return targets
+    seed, rate = int(sample["seed"]), float(sample["rate"])
     return TargetSet(
         targets=[
-            t for t in targets.targets if _sample_keeps(sample, t.asn)
+            t
+            for t in targets.targets
+            if stable_fraction(seed, "as-sample", int(t.asn)) < rate
         ],
         stats=targets.stats,
     )
@@ -1254,9 +1190,9 @@ def _kill_if_hung(
 
     Stale heartbeat files from earlier attempts are deleted before a
     job is (re)submitted, so any file present here was written by the
-    worker currently owning the shard.  The kill surfaces to the pool
-    as a broken worker, and the normal crash-recovery path re-executes
-    the shard.
+    worker currently owning the shard.  The kill surfaces as a worker
+    that died without a result, and the normal crash-recovery path
+    re-executes the shard.
     """
     hb_path = rd.heartbeat_path(shard_id)
     if not hb_path.exists():
@@ -1281,69 +1217,21 @@ def _kill_if_hung(
         pass
 
 
-def _run_pool_round(
-    jobs: list[dict[str, Any]],
-    workers: int,
-    rd: RunDirectory | None,
-    progress,
-    hang_timeout: float | None,
-) -> tuple[list[dict[str, Any]], list[tuple[dict[str, Any], BaseException]]]:
-    """One process-pool pass over *jobs*.
-
-    Returns ``(completed artifacts, [(job, exception), ...])``.  A
-    worker death (scripted SIGKILL, OOM kill, hang reaper) breaks the
-    whole pool — completed futures keep their results, everything in
-    flight fails — so the caller persists the survivors and re-submits
-    only the failures in a fresh pool.
-    """
-    completed: list[dict[str, Any]] = []
-    failed: list[tuple[dict[str, Any], BaseException]] = []
-    termed: dict[int, float] = {}
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(jobs))
-    ) as pool:
-        futures = {pool.submit(run_scan_shard, job): job for job in jobs}
-        not_done = set(futures)
-        while not_done:
-            # Poll (rather than block) so hung workers are noticed even
-            # when no shard is completing.
-            done, not_done = wait(
-                not_done,
-                timeout=_HANG_POLL if hang_timeout is not None else None,
-                return_when=FIRST_COMPLETED,
-            )
-            for future in done:
-                job = futures[future]
-                try:
-                    completed.append(future.result())
-                    if progress is not None:
-                        progress.shard_done()
-                except Exception as exc:
-                    failed.append((job, exc))
-            if not_done and hang_timeout is not None and rd is not None:
-                for future in not_done:
-                    _kill_if_hung(
-                        rd, futures[future]["shard_id"], hang_timeout,
-                        termed,
-                    )
-    return completed, failed
-
-
-#: whether this platform can fork — the cheap path to scenario sharing.
-_FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
+#: how shard workers start: ``fork`` where the platform offers it, so
+#: workers inherit the parent's scenario; ``spawn`` elsewhere, where
+#: each worker builds its own.
+_START_METHOD = (
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+)
 
 
 def _fork_shard_main(job: dict[str, Any], conn) -> None:
-    """Entry point of one forked shard worker.
+    """Entry point of one shard worker process.
 
-    Marks the process as a fork child (unlocking the inherited-scenario
-    fast path in :func:`_acquire_scenario`), runs the shard, and ships
-    the artifact — or the exception — back over the pipe.  Any death
-    without a message (scripted SIGKILL, OOM, hang reaper) surfaces to
-    the parent as EOF on the pipe.
+    Runs the shard and ships the artifact — or the exception — back over
+    the pipe.  Any death without a message (scripted SIGKILL, OOM, hang
+    reaper) surfaces to the parent as EOF on the pipe.
     """
-    global _IN_FORK_CHILD
-    _IN_FORK_CHILD = True
     try:
         artifact = run_scan_shard(job)
     except BaseException as exc:  # noqa: BLE001 — relayed, not handled
@@ -1362,18 +1250,18 @@ def _run_fork_round(
     progress,
     hang_timeout: float | None,
 ) -> tuple[list[dict[str, Any]], list[tuple[dict[str, Any], BaseException]]]:
-    """One fork-per-job pass over *jobs*.
+    """One process-per-job pass over *jobs*.
 
-    Each shard gets its own freshly forked process: the fork inherits
-    the parent's built scenario copy-on-write (no rebuild, no pickle),
-    and because the process serves exactly one job, its scan mutations
-    die with it — a pool worker reused across jobs would hand the
-    second job an already-mutated world.  Results return over a pipe;
-    a worker that dies without sending one (scripted crash, OOM kill,
-    hang reaper) is reported as failed, and the caller's retry rounds
-    re-execute it.
+    Each shard gets its own fresh worker process, started with
+    :data:`_START_METHOD`: a forked worker inherits the parent's built
+    scenario copy-on-write (no rebuild, no pickle), and because the
+    process serves exactly one job, its scan mutations die with it — a
+    worker reused across jobs would hand the second job an
+    already-mutated world.  Results return over a pipe; a worker that
+    dies without sending one (scripted crash, OOM kill, hang reaper) is
+    reported as failed, and the caller's retry rounds re-execute it.
     """
-    ctx = multiprocessing.get_context("fork")
+    ctx = multiprocessing.get_context(_START_METHOD)
     completed: list[dict[str, Any]] = []
     failed: list[tuple[dict[str, Any], BaseException]] = []
     termed: dict[int, float] = {}
@@ -1495,8 +1383,8 @@ def run_pipeline(
     process (useful under test, and what ``shards=1`` effectively is).
     ``progress`` is an optional live reporter (see
     :class:`repro.obs.progress.ProgressReporter`) fed by the scan stage.
-    ``hang_timeout`` (seconds) arms the hung-worker reaper: a pool
-    worker whose heartbeat goes stale that long is killed and its shard
+    ``hang_timeout`` (seconds) arms the hung-worker reaper: a worker
+    whose heartbeat goes stale that long is killed and its shard
     re-executed like any other crash.
 
     ``scenario_cache`` names a content-keyed scenario cache directory
@@ -1517,6 +1405,16 @@ def run_pipeline(
     served from the cache instead of re-executed, with merged results
     byte-identical to a full re-execution.
     """
+    # Checked before the run directory exists, so bad options leave
+    # nothing behind.
+    if workers is not None and workers < 0:
+        raise ValueError(f"workers must be >= 0, got {workers}")
+    if hang_timeout is not None and hang_timeout <= 0:
+        raise ValueError(f"hang timeout must be positive, got {hang_timeout}")
+    if snapshot_interval <= 0:
+        raise ValueError(
+            f"snapshot interval must be positive, got {snapshot_interval}"
+        )
     rd = RunDirectory(run_dir) if run_dir is not None else None
     if ledger is not None and rd is None:
         raise ValueError(
@@ -1577,15 +1475,12 @@ def run_pipeline(
     registry = MetricsRegistry() if spec.metrics else None
 
     with activate(recorder), span("pipeline"):
-        # -- build: the one and only scenario construction.  Workers
-        # inherit this copy over fork (or load the artifact written
-        # below); analyze reads it directly.
-        from ..scenarios import ScenarioParams
+        # -- build: forked workers inherit this copy; analyze reads it
+        # directly.
         from ..scenarios.compiled import (
             ScenarioCache,
             build_or_load,
             content_key,
-            serialize_scenario,
         )
 
         params = spec.scenario_params()
@@ -1596,20 +1491,12 @@ def run_pipeline(
         else:
             cache = ScenarioCache(scenario_cache)
         with span("build"):
-            scenario, blob, scenario_source = build_or_load(
+            scenario, _, scenario_source = build_or_load(
                 params, cache=cache
             )
             targets = _sample_targets(
                 spec.asn_sample, scenario.target_set()
             )
-            if rd is not None and spec.shards > 1:
-                # Non-fork workers (and post-mortem debugging) load this
-                # instead of rebuilding; serialized once, shared by all.
-                if blob is None:
-                    blob = serialize_scenario(scenario)
-                from ..scenarios.compiled import write_artifact_bytes
-
-                write_artifact_bytes(rd.scenario_path, blob)
         stages_run.append("build")
 
         # -- scan + collect, or reload the merged observations artifact.
@@ -1636,9 +1523,8 @@ def run_pipeline(
         else:
             with span("scan"):
                 # Publish the built scenario for the duration of the
-                # scan: forked workers inherit the object, inline
-                # shards deserialize private copies from the blob.
-                _publish_scenario(scenario, blob, content_key(params))
+                # scan, so forked workers inherit the object.
+                _publish_scenario(scenario, content_key(params))
                 try:
                     shard_payloads, scan_stats, cache_hits = (
                         _run_scan_stage(
@@ -1650,7 +1536,7 @@ def run_pipeline(
                         )
                     )
                 finally:
-                    _retract_scenario()
+                    _publish_scenario(None, None)
                 # Fold each shard's telemetry into the campaign-wide
                 # view: metrics merge deterministically, span trees
                 # graft under this scan span.
@@ -1856,54 +1742,34 @@ def _run_scan_stage(
     config = spec.scan_config()
     pinned = config.duration
     budget_shares = None
-    groups = None
-    weighted = spec.partition == "weighted" and spec.shards > 1
     if (
-        weighted
+        (spec.partition == "weighted" and spec.shards > 1)
         or config.max_rate is not None
         or config.retry_budget is not None
     ):
         per_asn = _probe_census(scenario, targets)
-        groups = _partition_asns(per_asn, spec.shards, spec.partition)
-        per_shard = [
-            sum(per_asn[asn] for asn in group) for group in groups
-        ]
-        total = sum(per_shard)
-        if config.max_rate is not None and total:
-            # Shards must pace probes on the full campaign's timeline,
-            # but the duration/max_rate stretch in schedule_campaign is
-            # computed from the local probe total — a shard would
-            # stretch less.  Pin the global figure into every shard.
-            pinned = max(config.duration, total / config.max_rate)
-        if config.retry_budget is not None:
-            budget_shares = _split_budget(config.retry_budget, per_shard)
+    else:
+        # Nothing reads probe weights: the modulo split (and a single
+        # shard) ignores them.
+        per_asn = {t.asn: 0 for t in targets.targets}
+    groups = _partition_asns(per_asn, spec.shards, spec.partition)
+    per_shard = [sum(per_asn[asn] for asn in group) for group in groups]
+    total = sum(per_shard)
+    if config.max_rate is not None and total:
+        # Shards must pace probes on the full campaign's timeline, but
+        # the duration/max_rate stretch in schedule_campaign is computed
+        # from the local probe total — a shard would stretch less.  Pin
+        # the global figure into every shard.
+        pinned = max(config.duration, total / config.max_rate)
+    if config.retry_budget is not None:
+        budget_shares = _split_budget(config.retry_budget, per_shard)
 
     shard_keys: dict[int, str] = {}
     if shard_ctx is not None and rd is not None:
-        members_of: dict[int, list[int]] = {}
-        if weighted and groups is not None:
-            members_of = {
-                shard_id: groups[shard_id]
-                for shard_id in range(spec.shards)
-            }
-        else:
-            target_asns = sorted(
-                {
-                    t.asn
-                    for t in targets.targets
-                    if _sample_keeps(spec.asn_sample, t.asn)
-                }
-            )
-            for shard_id in range(spec.shards):
-                members_of[shard_id] = [
-                    asn
-                    for asn in target_asns
-                    if asn % spec.shards == shard_id
-                ]
-        for shard_id in range(spec.shards):
+        for shard_id, group in enumerate(groups):
             shard_keys[shard_id] = shard_ctx.key_for(
                 shard_id,
-                members_of[shard_id],
+                group,
                 pinned,
                 None if budget_shares is None else budget_shares[shard_id],
             )
@@ -1959,12 +1825,11 @@ def _run_scan_stage(
         job = {
             "spec": spec.to_payload(),
             "shard_id": shard_id,
+            "asns": groups[shard_id],
             "pinned_duration": pinned,
         }
         if spec.stream:
             job["snapshot_interval"] = snapshot_interval
-        if weighted and groups is not None:
-            job["asns"] = groups[shard_id]
         if budget_shares is not None:
             job["pinned_retry_budget"] = budget_shares[shard_id]
         if profile:
@@ -2006,16 +1871,11 @@ def _run_scan_stage(
             else:
                 for job in remaining:
                     job["in_worker"] = True
-                if _FORK_AVAILABLE:
-                    round_results, failed = _run_fork_round(
-                        remaining, workers, rd, progress, hang_timeout
-                    )
-                else:
-                    round_results, failed = _run_pool_round(
-                        remaining, workers, rd, progress, hang_timeout
-                    )
+                round_results, failed = _run_fork_round(
+                    remaining, workers, rd, progress, hang_timeout
+                )
             # Persist survivors immediately (in shard order, so stage
-            # bookkeeping stays deterministic despite pool races) —
+            # bookkeeping stays deterministic despite worker races) —
             # work completed before a crash is never redone.
             for artifact in sorted(
                 round_results, key=lambda a: a["shard_id"]

@@ -1,19 +1,20 @@
-"""Compiled-scenario artifacts: build once, share everywhere.
+"""Compiled-scenario artifacts: a built world as content-keyed bytes.
 
 ``build_internet`` is a pure function of :class:`ScenarioParams`, but it
 is not free — route tables are compiled, geo tables filled, addresses
-interned, and every AS populated.  The sharded pipeline used to pay
-that cost once *per worker*.  This module serializes a fully built
+interned, and every AS populated.  This module serializes a fully built
 :class:`~repro.scenarios.internet.BuiltScenario` into a versioned,
-content-addressed artifact so the build happens exactly once:
+content-addressed artifact:
 
-* the pipeline parent builds (or cache-loads) the scenario, writes the
-  artifact into the run directory next to the shard artifacts, and
-  shares the live object with forked shard workers;
-* workers that cannot inherit memory (spawned pools, resumed runs in a
-  fresh process) load the artifact instead of rebuilding;
 * a content-keyed on-disk cache (:class:`ScenarioCache`) lets repeated
-  runs of the same spec skip the build entirely.
+  runs of the same spec load the world instead of building it (the
+  pipeline parent consults it through :func:`build_or_load`);
+* :func:`write_scenario`/:func:`load_scenario` save and restore a world
+  by path.
+
+Shard workers do not read artifacts: a forked worker inherits the
+parent's live object, and any other shard builds its own copy, which
+costs less than serializing plus deserializing one would.
 
 Artifact format: one JSON header line (schema version, content key,
 payload digest, summary fields) followed by a zlib-compressed pickle of
@@ -260,7 +261,7 @@ class ScenarioCache:
     def put_bytes(self, params: ScenarioParams, data: bytes) -> Path:
         key = content_key(params)
         path = self.entry_path(key)
-        _write_atomic(path, data)
+        write_artifact_bytes(path, data)
         return path
 
 
@@ -271,9 +272,8 @@ def build_or_load(
 
     Returns ``(scenario, artifact_bytes, source)`` where *source* is
     ``"cache"`` or ``"built"``.  On a cold build with a cache attached
-    the artifact is serialized once and stored, so the bytes double as
-    the run-directory artifact; without a cache, ``artifact_bytes`` is
-    ``None`` and callers serialize only if they need the bytes.
+    the artifact is serialized once and stored; without a cache,
+    ``artifact_bytes`` is ``None`` and nothing is serialized.
     """
     if cache is not None:
         data = cache.get_bytes(params)

@@ -2,15 +2,12 @@
 
 import pytest
 
-from repro.core import ScanConfig
 from repro.core.campaign import Campaign
-from repro.scenarios import ScenarioParams, build_internet
 
 
 @pytest.fixture(scope="module")
 def campaign():
-    scenario = build_internet(ScenarioParams(seed=44, n_ases=25))
-    return Campaign.run_on(scenario, ScanConfig(duration=60.0))
+    return Campaign.run_default(seed=44, n_ases=25, duration=60.0)
 
 
 def test_results_populated(campaign):

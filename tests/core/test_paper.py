@@ -2,16 +2,13 @@
 
 import pytest
 
-from repro.core import ScanConfig
 from repro.core.campaign import Campaign
 from repro.core.paper import PAPER, comparison_report, evaluate
-from repro.scenarios import ScenarioParams, build_internet
 
 
 @pytest.fixture(scope="module")
 def campaign():
-    scenario = build_internet(ScenarioParams(seed=2718, n_ases=120))
-    return Campaign.run_on(scenario, ScanConfig(duration=150.0))
+    return Campaign.run_default(seed=2718, n_ases=120, duration=150.0)
 
 
 def test_every_claim_has_an_evaluator(campaign):

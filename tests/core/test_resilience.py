@@ -71,6 +71,16 @@ def minus_provenance(results: dict) -> dict:
     return {k: v for k, v in results.items() if k != "provenance"}
 
 
+def scenario_sources(run_dir, shards: int = 4) -> set[str]:
+    """How each shard's worker obtained its world (shard timings)."""
+    return {
+        json.loads((run_dir / f"shard-{i:03d}.json").read_text())[
+            "timings"
+        ]["scenario_source"]
+        for i in range(shards)
+    }
+
+
 @pytest.fixture(scope="module")
 def baseline():
     """The lossless (builtin 10% loss only) single-shot campaign."""
@@ -219,6 +229,9 @@ def test_inline_crash_reexecutes_only_the_dead_shard(baseline, tmp_path):
     )
     assert outcome.scan_stats == {0: 1, 1: 2, 2: 1, 3: 1}
     assert list(run_dir.glob("crash-001-*.marker"))
+    # Inline shards build private worlds; nothing is serialized.
+    assert scenario_sources(run_dir) == {"built"}
+    assert not (run_dir / "scenario.bin").exists()
     # Crash clauses never touch packet fates: the recovered run merges
     # to exactly the crash-free campaign.
     assert minus_provenance(outcome.results) == minus_provenance(baseline)
@@ -237,6 +250,9 @@ def test_sigkilled_pool_worker_is_detected_and_reexecuted(
     )
     assert outcome.scan_stats[1] >= 2  # the dead shard re-executed
     assert list(run_dir.glob("crash-001-*.marker"))
+    # Forked workers inherit the parent's world; nothing is serialized.
+    assert scenario_sources(run_dir) == {"inherited"}
+    assert not (run_dir / "scenario.bin").exists()
     assert minus_provenance(outcome.results) == minus_provenance(baseline)
 
 

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import json
 
 import pytest
@@ -157,6 +158,52 @@ def test_scan_journal_requires_run_dir(capsys):
     assert main(["scan", "--n-ases", "15", "--seed", "3",
                  "--duration", "40", "--journal"]) == 2
     assert "--run-dir" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        pytest.param(["--duration", "0"], id="duration"),
+        pytest.param(["--retries", "-1"], id="retries"),
+        pytest.param(["--n-ases", "2"], id="n-ases"),
+        pytest.param(["--shards", "0"], id="shards"),
+        pytest.param(["--workers", "-1"], id="workers"),
+        pytest.param(
+            ["--snapshots", "--snapshot-interval", "0"],
+            id="snapshot-interval",
+        ),
+        pytest.param(
+            ["--shards", "2", "--workers", "2", "--hang-timeout", "0"],
+            id="hang-timeout",
+        ),
+    ],
+)
+def test_scan_bad_input_exits_two_with_one_line(capsys, tmp_path, flags):
+    run_dir = tmp_path / "run"
+    assert main(["scan", *flags, "--run-dir", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert len(err.splitlines()) == 1
+    assert not run_dir.exists()
+
+
+#: sha256 of the default star topology's results minus provenance at
+#: seed 2019, 40 ASes, 40 simulated seconds.  The analysis numbers are
+#: those of the release before the topology engine; only the schema-v3
+#: layout moved the pin.
+STAR_PIN = "23d3649701298f22e57fbf0ea199262f99867ab1d316892b42ad865280a8b116"
+
+
+def test_star_topology_results_match_pin(tmp_path):
+    path = tmp_path / "star.json"
+    assert main(["scan", "--seed", "2019", "--n-ases", "40",
+                 "--duration", "40", "--quiet", "--json", str(path)]) == 0
+    results = json.loads(path.read_text())
+    results.pop("provenance")
+    digest = hashlib.sha256(
+        json.dumps(results, indent=2).encode()
+    ).hexdigest()
+    assert digest == STAR_PIN
 
 
 def test_explain_missing_journal_errors(capsys, tmp_path):
@@ -473,6 +520,29 @@ def test_campaign_rejects_bad_plan(capsys, tmp_path):
         "--epochs", "2", "--quiet",
     ]) == 2
     assert "--plan" in capsys.readouterr().err
+
+
+def test_campaign_rejects_too_few_ases_before_any_epoch(capsys, tmp_path):
+    plan = tmp_path / "plan.json"
+    plan.write_text(
+        json.dumps(
+            {
+                "schema_version": 1,
+                "seed": 3,
+                "name": "tiny",
+                "clauses": [{"kind": "resolver-churn", "rate": 0.1}],
+            }
+        )
+    )
+    camp = tmp_path / "camp"
+    assert main([
+        "campaign", "run", str(camp), "--plan", str(plan),
+        "--epochs", "2", "--n-ases", "2", "--quiet",
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert len(err.splitlines()) == 1
+    assert not camp.exists()
 
 
 def test_ledger_with_empty_rows_exits_two(capsys, tmp_path):
