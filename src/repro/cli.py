@@ -525,7 +525,11 @@ def cmd_explain(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    index = load_index(events_path)
+    try:
+        index = load_index(events_path)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     if args.audit:
         results_path = Path(args.run_dir) / "results.json"

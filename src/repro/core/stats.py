@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import stats as scipy_stats
-
 
 @dataclass(frozen=True, slots=True)
 class Proportion:
@@ -47,6 +45,10 @@ def wilson_interval(
         raise ValueError(f"invalid counts: {successes}/{trials}")
     if trials == 0:
         return Proportion(0, 0, 0.0, 1.0, confidence)
+    # Imported on first use: scipy costs a second to load, and no
+    # campaign stage calls this.
+    from scipy import stats as scipy_stats
+
     z = float(scipy_stats.norm.ppf(0.5 + confidence / 2))
     p = successes / trials
     denom = 1 + z**2 / trials

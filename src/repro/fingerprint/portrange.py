@@ -20,14 +20,16 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-from scipy import stats
+from typing import TYPE_CHECKING
 
 from ..oskernel.ports import (
     IANA_EPHEMERAL_HIGH,
     IANA_EPHEMERAL_LOW,
     WINDOWS_DNS_POOL_SIZE,
 )
+
+if TYPE_CHECKING:
+    from scipy import stats
 
 #: Order-statistic parameters for the range of n=10 uniform samples.
 SAMPLE_SIZE = 10
@@ -85,6 +87,10 @@ def range_distribution(pool_size: int) -> stats.rv_continuous:
     The support is scaled to ``[0, pool_size - 1]``, the largest range a
     pool of that size can produce.
     """
+    # scipy loads in about a second and only the fingerprint analyses
+    # call it, so it is imported here rather than by every campaign.
+    from scipy import stats
+
     if pool_size < 2:
         raise ValueError(f"pool too small for a range model: {pool_size}")
     return stats.beta(BETA_ALPHA, BETA_BETA, loc=0, scale=pool_size - 1)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from .journal import load_events
+from .journal import load_events, validate_events
 
 # Drop-reason / verdict strings, mirrored from netsim (string literals,
 # not imports: obs stays a leaf package netsim never depends on, and the
@@ -131,8 +131,14 @@ class JournalIndex:
 
 
 def load_index(events_path) -> JournalIndex:
-    """Build a :class:`JournalIndex` from an ``events.ndjson`` file."""
-    return JournalIndex(load_events(events_path))
+    """Build a :class:`JournalIndex` from an ``events.ndjson`` file.
+
+    Raises ``ValueError`` if a line is not JSON or an event breaks the
+    journal schema.
+    """
+    events = load_events(events_path)
+    validate_events(events)
+    return JournalIndex(events)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,8 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Iterator
+from itertools import groupby
 from pathlib import Path
 from typing import Any
 
@@ -77,6 +79,13 @@ def probe_id(qname_wire: bytes) -> str:
     return f"{stable_hash('probe-id', qname_wire):016x}"
 
 
+#: The canonical encoder.  ``json.dumps`` with options builds a new
+#: encoder on every call; the merge encodes tens of thousands of events.
+_CANONICAL_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False
+)
+
+
 def event_line(event: dict[str, Any]) -> str:
     """Canonical one-line JSON serialization of *event*.
 
@@ -84,9 +93,7 @@ def event_line(event: dict[str, Any]) -> str:
     pure function of the event content — the foundation of the
     byte-identical shard merge.
     """
-    return json.dumps(
-        event, sort_keys=True, separators=(",", ":"), allow_nan=False
-    )
+    return _CANONICAL_ENCODER.encode(event)
 
 
 #: Non-canonical encoder for the per-shard flush hot path.
@@ -362,15 +369,29 @@ class Journal:
 # ---------------------------------------------------------------------------
 
 
+def _parse_lines(path: Path) -> Iterator[tuple[str, dict[str, Any]]]:
+    """Yield ``(line, event)`` for every non-blank line of *path*.
+
+    A line that is not JSON raises ``ValueError`` naming ``path:line``,
+    so a torn journal is reported where it is torn.
+    """
+    with path.open() as handle:
+        for number, line in enumerate(handle, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                event = json.loads(line)
+            except ValueError as exc:
+                raise ValueError(
+                    f"{path}:{number}: not a journal event ({exc})"
+                ) from None
+            yield line, event
+
+
 def load_events(path: Path | str) -> list[dict[str, Any]]:
     """Parse an NDJSON journal file into a list of event dicts."""
-    events = []
-    with Path(path).open() as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                events.append(json.loads(line))
-    return events
+    return [event for _, event in _parse_lines(Path(path))]
 
 
 def validate_events(events: list[dict[str, Any]]) -> None:
@@ -404,26 +425,43 @@ def _body_line(event: dict[str, Any]) -> str:
     return event_line({k: v for k, v in event.items() if k != "seq"})
 
 
-def _sort_key(event: dict[str, Any]) -> tuple:
+def _coarse_key(event: dict[str, Any]) -> tuple:
+    """The merge order's first three fields: ``(t, probe, kind rank)``."""
     t = event.get("t")
     return (
         t if t is not None else float("inf"),
         event.get("probe") or "",
-        EVENT_KINDS.get(event["kind"], 99),
-        _body_line(event),
+        EVENT_KINDS[event["kind"]],
     )
 
 
-def _write_sorted(path: Path, events: list[dict[str, Any]]) -> int:
-    """Sort, renumber and atomically write *events* as NDJSON."""
-    events.sort(key=_sort_key)
+def _merge_order(events: list[dict[str, Any]]) -> list[dict[str, Any]]:
+    """*events* sorted by ``(t, probe, kind rank, body minus seq)``.
+
+    The body is the costly part of that key and only breaks ties of
+    the first three fields, so it is computed for tied runs alone.
+    """
+    ordered: list[dict[str, Any]] = []
+    for _, run in groupby(sorted(events, key=_coarse_key), key=_coarse_key):
+        run = list(run)
+        if len(run) > 1:
+            run.sort(key=_body_line)
+        ordered.extend(run)
+    return ordered
+
+
+def _write_journal(
+    path: Path, kept: list[str], events: list[dict[str, Any]]
+) -> None:
+    """Atomically write *kept* lines as they are, then *events* in merge
+    order as canonical lines, ``seq`` numbered on from ``len(kept)``."""
     tmp = path.with_suffix(path.suffix + ".tmp")
     with tmp.open("w") as handle:
-        for seq, event in enumerate(events):
+        handle.writelines(line + "\n" for line in kept)
+        for seq, event in enumerate(_merge_order(events), len(kept)):
             event["seq"] = seq
             handle.write(event_line(event) + "\n")
     os.replace(tmp, path)
-    return len(events)
 
 
 def merge_shard_journals(
@@ -435,13 +473,15 @@ def merge_shard_journals(
     and the union equals the unsharded run's set; sorting by
     ``(t, probe, kind rank, body)`` and renumbering ``seq`` globally
     therefore produces byte-identical output for any shard count.
-    Returns the merged event count.
+    Each event is encoded canonically once, for output.  Returns the
+    merged event count.
     """
     events: list[dict[str, Any]] = []
     for path in shard_paths:
         events.extend(load_events(path))
     validate_events(events)
-    return _write_sorted(Path(out_path), events)
+    _write_journal(Path(out_path), [], events)
+    return len(events)
 
 
 # ---------------------------------------------------------------------------
@@ -459,18 +499,25 @@ def append_classifications(events_path: Path | str, collector) -> int:
     the target's working sources.  Idempotent: existing ``classify.*``
     lines are stripped before appending, so a resumed analyze stage
     never double-counts.  Returns the number of classification events.
+
+    Precondition: *events_path* is :func:`merge_shard_journals` output,
+    possibly already classified — canonical lines, sorted, ``seq``
+    numbered from 0, any ``classify.*`` lines forming its suffix.  Scan
+    events always carry a time and classifications never do, so the
+    kept lines are already in merged order and are copied byte for
+    byte; only the classifications are sorted, numbered and encoded.
     """
     events_path = Path(events_path)
-    events = [
-        e
-        for e in load_events(events_path)
-        if not e["kind"].startswith("classify.")
-    ]
+    kept: list[str] = []
     # probe.sent events are the ground truth for which probe ids back a
     # (target, spoofed source) pair.
     by_pair: dict[tuple[str, str], list[str]] = {}
-    for event in events:
-        if event["kind"] == "probe.sent":
+    for line, event in _parse_lines(events_path):
+        kind = event["kind"]
+        if kind.startswith("classify."):
+            continue
+        kept.append(line)
+        if kind == "probe.sent":
             by_pair.setdefault(
                 (event["dst"], event["src"]), []
             ).append(event["probe"])
@@ -528,7 +575,5 @@ def append_classifications(events_path: Path | str, collector) -> int:
                     "v": JOURNAL_SCHEMA_VERSION,
                 }
             )
-    # Scan events are already in merged order; classifications go after
-    # them (t=None sorts last) in their own deterministic order.
-    _write_sorted(events_path, events + classifications)
+    _write_journal(events_path, kept, classifications)
     return len(classifications)

@@ -6,8 +6,13 @@ journal-off baseline execute once per module and are shared read-only.
 """
 
 import json
+import shutil
+import tempfile
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import ScanConfig
 from repro.core.pipeline import CampaignSpec, RunDirectory, run_pipeline
@@ -195,6 +200,169 @@ def test_classification_pass_is_idempotent(one_shard):
     before = path.read_bytes()
     append_classifications(path, outcome.campaign.collector)
     assert path.read_bytes() == before
+
+
+# -- differential: the journal passes against the direct algorithm ---------
+
+
+def reference_journal(events: list[dict]) -> bytes:
+    """The merged journal computed the direct way.
+
+    Every event's canonical body (minus ``seq``) is encoded for its sort
+    key, ``seq`` is renumbered from 0, and each line is encoded again.
+    """
+
+    def canonical(event: dict) -> str:
+        return json.dumps(
+            event, sort_keys=True, separators=(",", ":"), allow_nan=False
+        )
+
+    def key(event: dict) -> tuple:
+        t = event.get("t")
+        return (
+            t if t is not None else float("inf"),
+            event.get("probe") or "",
+            EVENT_KINDS[event["kind"]],
+            canonical({k: v for k, v in event.items() if k != "seq"}),
+        )
+
+    ordered = sorted(events, key=key)
+    return "".join(
+        canonical({**event, "seq": seq}) + "\n"
+        for seq, event in enumerate(ordered)
+    ).encode()
+
+
+PROBES = st.sampled_from(["a" * 16, "b" * 16, "0123456789abcdef"])
+#: Few distinct values, so that (t, probe, kind rank) ties are common.
+TIMES = st.sampled_from([0.0, 0.5, 2.25])
+ADDRS = st.sampled_from(["10.0.0.1", "10.0.0.2", "2001:db8::1"])
+BORDER = st.fixed_dictionaries(
+    {
+        "asn": st.integers(1, 3),
+        "verdict": st.sampled_from(["accept", "drop-dsav"]),
+        "filter": st.none() | st.just("10.0.0.0/8"),
+    }
+)
+
+
+@st.composite
+def probe_pair(draw):
+    """A retransmission and the ``probe.sent`` it precedes: both rank 0
+    at one timestamp and probe id, told apart only by their bodies."""
+    t, probe = draw(TIMES), draw(PROBES)
+    src, dst = draw(ADDRS), draw(ADDRS)
+    return [
+        {"kind": "probe.retransmit", "t": t, "probe": probe, "src": src,
+         "dst": dst, "asn": 1, "attempt": draw(st.integers(2, 3)),
+         "prev": draw(st.none() | PROBES)},
+        {"kind": "probe.sent", "t": t, "probe": probe, "src": src,
+         "dst": dst, "asn": 1, "sport": draw(st.integers(1024, 1026))},
+    ]
+
+
+@st.composite
+def fabric_path(draw):
+    """A probe-less fabric event, often with nested border verdicts."""
+    event = {"kind": "fabric.path", "t": draw(TIMES), "src": draw(ADDRS),
+             "dst": draw(ADDRS), "sport": draw(st.integers(1024, 1026)),
+             "outcome": draw(st.sampled_from(["delivered", "drop-dsav"]))}
+    if draw(st.booleans()):
+        event["egress"] = draw(BORDER)
+    if draw(st.booleans()):
+        event["ingress"] = draw(BORDER)
+    return [event]
+
+
+@st.composite
+def probe_event(draw):
+    return [{"kind": draw(st.sampled_from(["auth.query", "probe.sent"])),
+             "t": draw(TIMES | st.none()), "probe": draw(PROBES),
+             "qtype": draw(st.integers(1, 2))}]
+
+
+@st.composite
+def shard_journals(draw):
+    """Per-shard event lists: each numbered by its shard's own ``seq``."""
+    groups = draw(
+        st.lists(probe_pair() | fabric_path() | probe_event(), max_size=25)
+    )
+    shards = draw(st.integers(1, 4))
+    journals: list[list[dict]] = [[] for _ in range(shards)]
+    for event in (event for group in groups for event in group):
+        journal = journals[draw(st.integers(0, shards - 1))]
+        journal.append({**event, "v": 1, "seq": len(journal)})
+    return journals
+
+
+@settings(max_examples=60, deadline=None)
+@given(journals=shard_journals())
+def test_merge_matches_the_direct_algorithm(journals):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for shard_id, events in enumerate(journals):
+            path = Path(tmp) / f"events-{shard_id:03d}.ndjson"
+            # Shard files keep insertion order, as ``Journal.flush`` does.
+            path.write_text("".join(json.dumps(e) + "\n" for e in events))
+            paths.append(path)
+        out = Path(tmp) / "events.ndjson"
+        merged = merge_shard_journals(paths, out)
+        events = [event for shard in journals for event in shard]
+        assert merged == len(events)
+        assert out.read_bytes() == reference_journal(events)
+
+
+def assert_classified_like_reference(path: Path, before: bytes) -> None:
+    """*path* holds *before*'s scan events byte for byte, then its
+    classifications in the direct algorithm's order and numbering."""
+    scan = [
+        e for e in map(json.loads, before.decode().splitlines())
+        if not e["kind"].startswith("classify.")
+    ]
+    classified = [
+        {k: v for k, v in e.items() if k != "seq"}
+        for e in load_events(path)
+        if e["kind"].startswith("classify.")
+    ]
+    after = path.read_bytes()
+    assert after == reference_journal(scan + classified)
+    prefix = reference_journal(scan)
+    assert after.startswith(prefix) and before.startswith(prefix)
+
+
+@pytest.mark.parametrize(
+    "run, shards", [("one_shard", 1), ("four_shard", 4)]
+)
+def test_classification_pass_matches_the_direct_algorithm(
+    request, tmp_path, run, shards
+):
+    run_dir, outcome = request.getfixturevalue(run)
+    rd = RunDirectory(run_dir)
+    collector = outcome.campaign.collector
+
+    # Fresh merge: no classify.* suffix yet.
+    fresh = tmp_path / "fresh.ndjson"
+    merge_shard_journals(
+        [rd.shard_events_path(i) for i in range(shards)], fresh
+    )
+    merged = fresh.read_bytes()
+    assert append_classifications(fresh, collector) > 0
+    assert_classified_like_reference(fresh, merged)
+    assert fresh.read_bytes() == rd.events_path.read_bytes()
+
+    # Resume: the file already carries its classify.* suffix.
+    resumed = tmp_path / "resumed.ndjson"
+    shutil.copyfile(rd.events_path, resumed)
+    before = resumed.read_bytes()
+    append_classifications(resumed, collector)
+    assert_classified_like_reference(resumed, before)
+
+    # Nothing reachable: the classify.* suffix is dropped, nothing added.
+    empty = tmp_path / "empty.ndjson"
+    shutil.copyfile(rd.events_path, empty)
+    assert append_classifications(empty, SimpleNamespace(observations={})) == 0
+    assert_classified_like_reference(empty, before)
+    assert empty.read_bytes() == merged
 
 
 # -- results are never perturbed --------------------------------------------

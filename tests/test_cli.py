@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import shutil
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs.journal import load_events, validate_events
 
 
 def test_lab_command(capsys):
@@ -193,17 +195,49 @@ def test_scan_bad_input_exits_two_with_one_line(capsys, tmp_path, flags):
 #: layout moved the pin.
 STAR_PIN = "23d3649701298f22e57fbf0ea199262f99867ab1d316892b42ad865280a8b116"
 
+#: sha256 of the same run's ``events.ndjson`` with ``--journal``: the
+#: same at any shard count and hash seed.
+STAR_JOURNAL_PIN = (
+    "1c531b6cb42188ac96663eb36a072d867a782ab642319a3347c70612cda9394c"
+)
 
-def test_star_topology_results_match_pin(tmp_path):
-    path = tmp_path / "star.json"
+
+def _star_results_digest(path, *flags):
     assert main(["scan", "--seed", "2019", "--n-ases", "40",
-                 "--duration", "40", "--quiet", "--json", str(path)]) == 0
+                 "--duration", "40", "--quiet", "--json", str(path),
+                 *flags]) == 0
     results = json.loads(path.read_text())
     results.pop("provenance")
-    digest = hashlib.sha256(
+    return hashlib.sha256(
         json.dumps(results, indent=2).encode()
     ).hexdigest()
+
+
+def test_star_topology_results_match_pin(tmp_path):
+    assert _star_results_digest(tmp_path / "star.json") == STAR_PIN
+
+
+def test_star_topology_journal_matches_pins(capsys, tmp_path):
+    run_dir = tmp_path / "run"
+    digest = _star_results_digest(
+        tmp_path / "star.json", "--journal", "--run-dir", str(run_dir)
+    )
     assert digest == STAR_PIN
+
+    events_path = run_dir / "events.ndjson"
+    digest = hashlib.sha256(events_path.read_bytes()).hexdigest()
+    assert digest == STAR_JOURNAL_PIN
+    events = load_events(events_path)
+    validate_events(events)
+    kinds = {e["kind"] for e in events}
+    assert {"probe.sent", "fabric.path", "auth.query",
+            "classify.target"} <= kinds
+    capsys.readouterr()
+    assert main(["explain", str(run_dir), "--audit"]) == 0
+    assert "audit OK" in capsys.readouterr().out
+    asn = next(e["asn"] for e in events if e["kind"] == "classify.asn")
+    assert main(["explain", str(run_dir), "--asn", str(asn)]) == 0
+    assert f"AS{asn}:" in capsys.readouterr().out
 
 
 def test_explain_missing_journal_errors(capsys, tmp_path):
@@ -213,14 +247,34 @@ def test_explain_missing_journal_errors(capsys, tmp_path):
     assert "--journal" in err
 
 
-def test_explain_unknown_probe_errors(capsys, tmp_path):
-    run_dir = tmp_path / "run"
+@pytest.fixture(scope="module")
+def journaled_run(tmp_path_factory):
+    run_dir = tmp_path_factory.mktemp("journaled") / "run"
     assert main(["scan", "--n-ases", "15", "--seed", "3",
                  "--duration", "40", "--journal", "--workers", "0",
                  "--run-dir", str(run_dir), "--quiet"]) == 0
-    capsys.readouterr()
-    assert main(["explain", str(run_dir), "--probe", "0" * 16]) == 1
+    return run_dir
+
+
+def test_explain_unknown_probe_errors(capsys, journaled_run):
+    assert main(["explain", str(journaled_run), "--probe", "0" * 16]) == 1
     assert "not in journal" in capsys.readouterr().err
+
+
+def test_explain_torn_journal_exits_two_with_one_line(
+    capsys, tmp_path, journaled_run
+):
+    run_dir = tmp_path / "run"
+    shutil.copytree(journaled_run, run_dir)
+    events_path = run_dir / "events.ndjson"
+    lines = events_path.read_text().splitlines(keepends=True)
+    lines[5] = lines[5][: len(lines[5]) // 2] + "\n"
+    events_path.write_text("".join(lines))
+    assert main(["explain", str(run_dir), "--audit"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert len(err.splitlines()) == 1
+    assert "events.ndjson:6" in err
 
 
 def test_parser_requires_command():
