@@ -195,9 +195,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if not args.quiet:
         from .obs.progress import ProgressReporter
 
-        progress = ProgressReporter(
-            total_shards=0 if spec is None else spec.shards
-        )
+        progress = ProgressReporter()
 
     options = dict(
         workers=args.workers,
@@ -781,8 +779,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scan.add_argument(
         "--hang-timeout", type=float, default=None, metavar="SECONDS",
-        help="kill and re-execute a scan shard worker whose heartbeat "
-        "goes stale this long (default: no hang detection)",
+        help="kill and re-execute a scan shard worker that sends no "
+        "progress report for this long, at least 2 (default: no hang "
+        "detection)",
     )
     scan.add_argument(
         "--workers", type=int, default=None,

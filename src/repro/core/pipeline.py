@@ -67,6 +67,7 @@ import os
 import signal
 import time
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -95,8 +96,13 @@ STAGES = ("build", "scan", "collect", "analyze", "report")
 #: crashed or killed worker) before the run is declared partial.
 MAX_SHARD_ATTEMPTS = 3
 
-#: Seconds between hung-worker heartbeat checks while workers run.
-_HANG_POLL = 2.0
+#: Wall seconds between a scan shard's progress reports.  A worker's
+#: reports are the parent's sign that it is alive.
+_REPORT_INTERVAL = 0.5
+
+#: Smallest accepted hang timeout: four report intervals, so a worker
+#: that is sending probes always reports well within it.
+MIN_HANG_TIMEOUT = 4 * _REPORT_INTERVAL
 
 
 class PipelineError(RuntimeError):
@@ -375,9 +381,6 @@ class RunDirectory:
         """cProfile stats dumped by shard workers under ``--profile``."""
         return self.path / f"profile-{shard_id:03d}.pstats"
 
-    def heartbeat_path(self, shard_id: int) -> Path:
-        return self.path / f"heartbeat-{shard_id:03d}.json"
-
     def crash_marker_glob(self, shard_id: int, clause_index: int):
         """Markers left by already-fired shard-crash clauses."""
         return self.path.glob(
@@ -514,75 +517,8 @@ def _read_artifact(
 
 
 # ---------------------------------------------------------------------------
-# worker liveness and scripted crashes
+# scripted crashes
 # ---------------------------------------------------------------------------
-
-
-class ShardHeartbeat:
-    """Liveness file a scan worker refreshes as it sends probes.
-
-    The parent reads ``heartbeat-NNN.json`` while workers run; a
-    worker whose heartbeat goes stale past the hang timeout is killed
-    and its shard re-executed like any other crash.
-    """
-
-    #: minimum wall-clock seconds between refreshes.
-    interval = 2.0
-
-    def __init__(self, path: Path) -> None:
-        self.path = path
-        self.probes = 0
-        self._last_write = 0.0
-
-    def start(self) -> None:
-        self._write()
-
-    # -- progress-reporter protocol (only probe_sent advances us) -------
-
-    def add_planned(self, count: int) -> None:
-        pass
-
-    def penetration(self) -> None:
-        pass
-
-    def probe_sent(self) -> None:
-        self.probes += 1
-        if time.time() - self._last_write >= self.interval:
-            self._write()
-
-    def _write(self) -> None:
-        self._last_write = time.time()
-        _write_json(
-            self.path,
-            {
-                "pid": os.getpid(),
-                "time": self._last_write,
-                "probes": self.probes,
-            },
-        )
-
-
-class _ScanHooks:
-    """Fan scanner progress callbacks out to several sinks.
-
-    The scanner binds exactly one progress object; this lets the live
-    reporter, the heartbeat, and the crash fuse all ride it.
-    """
-
-    def __init__(self, *sinks) -> None:
-        self._sinks = [sink for sink in sinks if sink is not None]
-
-    def add_planned(self, count: int) -> None:
-        for sink in self._sinks:
-            sink.add_planned(count)
-
-    def probe_sent(self) -> None:
-        for sink in self._sinks:
-            sink.probe_sent()
-
-    def penetration(self) -> None:
-        for sink in self._sinks:
-            sink.penetration()
 
 
 class _CrashFuse:
@@ -604,24 +540,17 @@ class _CrashFuse:
         self._rd = rd
         self._shard = shard_id
         self._in_worker = in_worker
-        self._count = 0
         self._armed = []
         for index, clause in clauses:
             fired = len(list(rd.crash_marker_glob(shard_id, index)))
             if fired < clause.times:
                 self._armed.append([index, clause, fired])
 
-    def add_planned(self, count: int) -> None:
-        pass
-
-    def penetration(self) -> None:
-        pass
-
-    def probe_sent(self) -> None:
-        self._count += 1
+    def check(self, sent: int) -> None:
+        """Fire every armed clause due at *sent* probes."""
         for entry in self._armed:
             index, clause, fired = entry
-            if fired < clause.times and self._count == clause.after_probes:
+            if fired < clause.times and sent == clause.after_probes:
                 entry[2] = fired + 1
                 self._trigger(index, clause, fired)
 
@@ -691,8 +620,31 @@ def _acquire_scenario(spec: CampaignSpec, payload: dict[str, Any]):
     return scenario, "built", time.perf_counter() - start
 
 
+def _on_probe(scanner, snapshotter, fuse, report):
+    """The one callback a shard's scanner makes per probe sent.
+
+    The snapshotter ticks before the crash fuse checks, so the stream
+    records a probe before a scripted crash fires on it.
+    """
+    last_report = float("-inf")
+
+    def on_probe() -> None:
+        nonlocal last_report
+        if snapshotter is not None:
+            snapshotter.tick()
+        if fuse is not None:
+            fuse.check(scanner.probes_sent)
+        if report is not None:
+            now = time.monotonic()
+            if now - last_report >= _REPORT_INTERVAL:
+                last_report = now
+                report(scanner.progress_stats())
+
+    return on_probe
+
+
 def run_scan_shard(
-    payload: dict[str, Any], progress=None
+    payload: dict[str, Any], report=None
 ) -> dict[str, Any]:
     """Scan one shard of the target space; module-level for pickling.
 
@@ -704,9 +656,13 @@ def run_scan_shard(
     globally computed value so probes are paced exactly as in the
     unsharded run.
 
-    ``progress`` (a live reporter, inline shards only — it does not
-    cross into a worker process) receives per-probe callbacks.
+    ``report``, if given, receives ``{}`` as the shard starts, then the
+    scanner's :meth:`~repro.core.scanner.Scanner.progress_stats` once
+    it is built, at most every :data:`_REPORT_INTERVAL` seconds while
+    probes go out, and once more when the scan ends.
     """
+    if report is not None:
+        report({})
     spec = CampaignSpec.from_payload(payload["spec"])
     shard_id = payload["shard_id"]
     run_dir = payload.get("run_dir")
@@ -744,11 +700,7 @@ def run_scan_shard(
             registry=registry,
         )
     fault_plan = spec.fault_plan()
-    heartbeat = None
     fuse = None
-    if rd is not None:
-        heartbeat = ShardHeartbeat(rd.heartbeat_path(shard_id))
-        heartbeat.start()
     if fault_plan is not None:
         crash_clauses = fault_plan.crash_clauses(shard_id)
         if crash_clauses:
@@ -804,19 +756,19 @@ def run_scan_shard(
                 if snapshotter is not None:
                     snapshotter.attach(scanner)
                 if (
-                    progress is not None
-                    or heartbeat is not None
+                    report is not None
                     or fuse is not None
                     or snapshotter is not None
                 ):
-                    # The snapshotter rides before the crash fuse so the
-                    # stream records a probe before a scripted crash
-                    # fires on it.
                     scanner.bind_progress(
-                        _ScanHooks(progress, heartbeat, snapshotter, fuse)
+                        _on_probe(scanner, snapshotter, fuse, report)
                     )
+                if report is not None:
+                    report(scanner.progress_stats())
             with span("run") as run_span:
                 scanner.run()
+            if report is not None:
+                report(scanner.progress_stats())
             if journal is not None:
                 journal.flush()
             if registry is not None:
@@ -1174,49 +1126,6 @@ class _ShardCacheContext:
 _TERM_GRACE = 5.0
 
 
-def _kill_if_hung(
-    rd: RunDirectory,
-    shard_id: int,
-    hang_timeout: float,
-    termed: dict[int, float],
-) -> None:
-    """Reap a worker whose heartbeat is older than *hang_timeout*.
-
-    SIGTERM first — the worker's flush handler writes its buffered
-    journal/stream tail and exits — then SIGKILL if it is still
-    heartbeat-stale :data:`_TERM_GRACE` seconds later (wedged in
-    uninterruptible state, or ignoring signals).  *termed* tracks
-    first-signal times per shard for the current round.
-
-    Stale heartbeat files from earlier attempts are deleted before a
-    job is (re)submitted, so any file present here was written by the
-    worker currently owning the shard.  The kill surfaces as a worker
-    that died without a result, and the normal crash-recovery path
-    re-executes the shard.
-    """
-    hb_path = rd.heartbeat_path(shard_id)
-    if not hb_path.exists():
-        return  # job queued but not started yet
-    try:
-        hb = json.loads(hb_path.read_text())
-    except ValueError:
-        return  # mid-rename; next poll sees the full file
-    if time.time() - hb.get("time", 0.0) < hang_timeout:
-        return
-    pid = hb.get("pid")
-    if not pid or pid == os.getpid():
-        return
-    first_term = termed.get(shard_id)
-    try:
-        if first_term is None:
-            termed[shard_id] = time.time()
-            os.kill(pid, signal.SIGTERM)
-        elif time.time() - first_term >= _TERM_GRACE:
-            os.kill(pid, signal.SIGKILL)
-    except OSError:
-        pass
-
-
 #: how shard workers start: ``fork`` where the platform offers it, so
 #: workers inherit the parent's scenario; ``spawn`` elsewhere, where
 #: each worker builds its own.
@@ -1228,12 +1137,15 @@ _START_METHOD = (
 def _fork_shard_main(job: dict[str, Any], conn) -> None:
     """Entry point of one shard worker process.
 
-    Runs the shard and ships the artifact — or the exception — back over
-    the pipe.  Any death without a message (scripted SIGKILL, OOM, hang
-    reaper) surfaces to the parent as EOF on the pipe.
+    Runs the shard, sending its progress reports over the pipe as it
+    scans, then ships the artifact — or the exception — back over the
+    same pipe.  Any death without a message (scripted SIGKILL, OOM,
+    hang reaper) surfaces to the parent as EOF on the pipe.
     """
     try:
-        artifact = run_scan_shard(job)
+        artifact = run_scan_shard(
+            job, lambda stats: conn.send(("progress", stats))
+        )
     except BaseException as exc:  # noqa: BLE001 — relayed, not handled
         try:
             conn.send(("err", exc))
@@ -1246,7 +1158,6 @@ def _fork_shard_main(job: dict[str, Any], conn) -> None:
 def _run_fork_round(
     jobs: list[dict[str, Any]],
     workers: int,
-    rd: RunDirectory | None,
     progress,
     hang_timeout: float | None,
 ) -> tuple[list[dict[str, Any]], list[tuple[dict[str, Any], BaseException]]]:
@@ -1260,13 +1171,25 @@ def _run_fork_round(
     already-mutated world.  Results return over a pipe; a worker that
     dies without sending one (scripted crash, OOM kill, hang reaper) is
     reported as failed, and the caller's retry rounds re-execute it.
+
+    A worker's progress reports arrive on the same pipe: each feeds
+    *progress* and restarts the worker's silence clock, which starts at
+    its first report (sent as its shard starts), so a spawned worker's
+    interpreter start-up is never judged.  With *hang_timeout*, a worker
+    silent that long gets SIGTERM — its flush handler writes the
+    buffered journal/stream tail and exits — then SIGKILL after
+    :data:`_TERM_GRACE` seconds more, both through its own ``Process``
+    object.  An unread message on its pipe counts as life, so a parent
+    slow to read never reaps a healthy worker.
     """
     ctx = multiprocessing.get_context(_START_METHOD)
     completed: list[dict[str, Any]] = []
     failed: list[tuple[dict[str, Any], BaseException]] = []
-    termed: dict[int, float] = {}
     pending = list(jobs)
     active: dict[Any, tuple[Any, dict[str, Any]]] = {}
+    #: receiver -> monotonic time of the worker's last report.
+    seen: dict[Any, float] = {}
+    termed: set[Any] = set()
     limit = max(1, min(workers, len(jobs)))
 
     def _launch() -> None:
@@ -1290,14 +1213,20 @@ def _run_fork_round(
     while active:
         ready = multiprocessing.connection.wait(
             list(active),
-            timeout=_HANG_POLL if hang_timeout is not None else None,
+            timeout=_REPORT_INTERVAL if hang_timeout is not None else None,
         )
         for conn in ready:
-            process, job = active.pop(conn)
+            process, job = active[conn]
             try:
                 kind, value = conn.recv()
             except (EOFError, OSError):
                 kind, value = "died", None
+            if kind == "progress":
+                seen[conn] = time.monotonic()
+                if progress is not None:
+                    progress.update(job["shard_id"], value)
+                continue
+            del active[conn]
             conn.close()
             _reap(process)
             if kind == "ok":
@@ -1319,9 +1248,17 @@ def _run_fork_round(
                 )
             if pending:
                 _launch()
-        if not ready and hang_timeout is not None and rd is not None:
-            for process, job in active.values():
-                _kill_if_hung(rd, job["shard_id"], hang_timeout, termed)
+        if hang_timeout is not None:
+            now = time.monotonic()
+            for conn, (process, _) in active.items():
+                if conn not in seen or conn.poll():
+                    continue
+                silent = now - seen[conn]
+                if silent >= hang_timeout + _TERM_GRACE:
+                    process.kill()
+                elif silent >= hang_timeout and conn not in termed:
+                    termed.add(conn)
+                    process.terminate()
     return completed, failed
 
 
@@ -1383,9 +1320,9 @@ def run_pipeline(
     process (useful under test, and what ``shards=1`` effectively is).
     ``progress`` is an optional live reporter (see
     :class:`repro.obs.progress.ProgressReporter`) fed by the scan stage.
-    ``hang_timeout`` (seconds) arms the hung-worker reaper: a worker
-    whose heartbeat goes stale that long is killed and its shard
-    re-executed like any other crash.
+    ``hang_timeout`` (seconds, at least :data:`MIN_HANG_TIMEOUT`) arms
+    the hung-worker reaper: a worker that sends no progress report for
+    that long is killed and its shard re-executed like any other crash.
 
     ``scenario_cache`` names a content-keyed scenario cache directory
     (or passes a :class:`~repro.scenarios.compiled.ScenarioCache`);
@@ -1409,8 +1346,11 @@ def run_pipeline(
     # nothing behind.
     if workers is not None and workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
-    if hang_timeout is not None and hang_timeout <= 0:
-        raise ValueError(f"hang timeout must be positive, got {hang_timeout}")
+    if hang_timeout is not None and hang_timeout < MIN_HANG_TIMEOUT:
+        raise ValueError(
+            f"hang timeout must be at least {MIN_HANG_TIMEOUT:g} seconds, "
+            f"got {hang_timeout:g}"
+        )
     if snapshot_interval <= 0:
         raise ValueError(
             f"snapshot interval must be positive, got {snapshot_interval}"
@@ -1739,6 +1679,8 @@ def _run_scan_stage(
     cached artifact — spec payload patched to the current epoch — and
     then flows through the ordinary reuse path, executions 0.
     """
+    if progress is not None:
+        progress.total_shards = spec.shards
     config = spec.scan_config()
     pinned = config.duration
     budget_shares = None
@@ -1812,14 +1754,12 @@ def _run_scan_stage(
             shard_attempts[shard_id] = 0
             stages_skipped.append(f"scan[{shard_id}]")
             if progress is not None:
-                # Credit the reused shard's work to the totals without
-                # letting it inflate the rate — on --resume, probes
-                # served from disk took no wall time in this process.
                 meta = ScanMetadata.from_payload(artifact["metadata"])
-                progress.add_planned(meta.probes_scheduled)
-                seed = getattr(progress, "seed_completed", None)
-                if seed is not None:
-                    seed(meta.probes_sent)
+                progress.update(
+                    shard_id,
+                    dict(planned=meta.probes_scheduled, sent=meta.probes_sent),
+                    reused=True,
+                )
                 progress.shard_done()
             continue
         job = {
@@ -1848,21 +1788,14 @@ def _run_scan_stage(
         while remaining:
             for job in remaining:
                 shard_attempts[job["shard_id"]] += 1
-                if rd is not None:
-                    # Drop stale heartbeats so the hang reaper never
-                    # acts on a file from a previous attempt.
-                    rd.heartbeat_path(job["shard_id"]).unlink(
-                        missing_ok=True
-                    )
             failed: list[tuple[dict[str, Any], BaseException]]
             if inline:
                 round_results, failed = [], []
                 for job in remaining:
                     try:
                         if progress is not None:
-                            round_results.append(
-                                run_scan_shard(job, progress)
-                            )
+                            report = partial(progress.update, job["shard_id"])
+                            round_results.append(run_scan_shard(job, report))
                             progress.shard_done()
                         else:
                             round_results.append(run_scan_shard(job))
@@ -1872,7 +1805,7 @@ def _run_scan_stage(
                 for job in remaining:
                     job["in_worker"] = True
                 round_results, failed = _run_fork_round(
-                    remaining, workers, rd, progress, hang_timeout
+                    remaining, workers, progress, hang_timeout
                 )
             # Persist survivors immediately (in shard order, so stage
             # bookkeeping stays deterministic despite worker races) —

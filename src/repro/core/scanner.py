@@ -272,8 +272,8 @@ class Scanner:
         self._mx_penetrations = None
         self._mx_penetrations_by_asn = None
         self._mx_probe_sim = None
-        #: optional event journal / live progress reporter, both
-        #: duck-typed like the metrics instruments above.
+        #: optional event journal (duck-typed like the metrics
+        #: instruments above) and per-probe progress callback.
         self._journal = None
         self._progress = None
 
@@ -321,9 +321,13 @@ class Scanner:
         # journals exactly those traversals and no other DNS traffic.
         self.client._journal = journal
 
-    def bind_progress(self, reporter) -> None:
-        """Feed live probe/penetration counts into *reporter*."""
-        self._progress = reporter
+    def bind_progress(self, callback) -> None:
+        """Call ``callback()`` after each probe put on the wire.
+
+        The callback reads whatever counts it needs from
+        :meth:`progress_stats`.
+        """
+        self._progress = callback
 
     def progress_stats(self) -> dict[str, int]:
         """Current scan counters, for health snapshots mid-run."""
@@ -389,9 +393,6 @@ class Scanner:
             duration = self.config.pinned_duration
         self.effective_duration = duration
         self.probes_scheduled = total_probes
-        pg = self._progress
-        if pg is not None:
-            pg.add_planned(total_probes)
 
         for target, plan in plans:
             self.targets_planned += 1
@@ -562,7 +563,7 @@ class Scanner:
             )
         pg = self._progress
         if pg is not None:
-            pg.probe_sent()
+            pg()
 
     # -- retransmission ----------------------------------------------------
 
@@ -664,9 +665,6 @@ class Scanner:
                 dst=jr.addr(target),
                 asn=decoded.asn,
             )
-        pg = self._progress
-        if pg is not None:
-            pg.penetration()
         if self.config.enable_followups and not self._opted_out(target):
             self.followups.launch(target, decoded.asn, decoded.src)
 

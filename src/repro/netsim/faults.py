@@ -211,7 +211,8 @@ class ShardCrash:
     same shard does not crash forever).  ``mode`` picks the failure:
     ``kill`` SIGKILLs the worker process (inline shards downgrade to
     ``raise``), ``raise`` throws :class:`ShardCrashInjected`, ``hang``
-    stops making progress so the parent's heartbeat monitor must act.
+    stops sending probes, and with them progress reports, so the
+    parent's hang reaper must act.
     """
 
     shard: int

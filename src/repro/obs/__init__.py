@@ -29,8 +29,8 @@ This package gives the reproduction the same property:
     CLI: per-probe narratives, per-ASN summaries, and an audit that
     ties every classification back to journal evidence.
 ``progress``
-    A live rate/ETA progress line on stderr fed by the scanner, so
-    long campaigns are not silent.
+    A live rate/ETA progress line on stderr fed by each scan shard's
+    progress reports, so long campaigns are not silent.
 ``stream``
     The live data plane: a :class:`TelemetrySnapshotter` appending
     periodic metric deltas and ``shard.health`` events to per-shard

@@ -1,11 +1,14 @@
 """Live scan progress: a rate/ETA reporter on stderr.
 
-A production-scale campaign is hours of silence without this.  The
-scanner (and the pipeline's shard loop) feed the reporter through the
-same duck-typed binding as metrics and the journal — one attribute
-check when disabled — and the reporter renders a single-line status to
-stderr: probes sent vs planned, send rate, penetrations so far, shards
-done, and an ETA extrapolated from the wall-clock rate.
+A production-scale campaign is hours of silence without this.  Each
+scan shard reports its scanner's counters
+(:meth:`~repro.core.scanner.Scanner.progress_stats`) every half second
+of scanning: an inline shard calls :meth:`ProgressReporter.update`
+directly, and a forked worker sends the report over its result pipe
+for the parent to pass on.  The reporter keeps each shard's latest
+counters and renders a single-line status to stderr: probes sent vs
+planned, send rate, penetrations so far, shards done, and an ETA
+extrapolated from the wall-clock rate.
 
 On a terminal the line redraws in place with ``\\r``; piped to a file it
 degrades to a periodic plain line so logs stay readable.  Progress never
@@ -29,7 +32,7 @@ def _format_eta(seconds: float) -> str:
 
 
 class ProgressReporter:
-    """Throttled progress line fed by scanner/pipeline callbacks."""
+    """Throttled progress line fed with per-shard scan counters."""
 
     def __init__(
         self,
@@ -41,14 +44,14 @@ class ProgressReporter:
         self.stream = stream if stream is not None else sys.stderr
         self.total_shards = total_shards
         self.min_interval = min_interval
-        self.planned = 0
-        self.sent = 0
-        self.penetrations = 0
         self.shards_done = 0
-        # Work completed before this reporter started (resumed runs).
-        # Counts toward the sent/planned totals but not the rate/ETA:
-        # no wall time was spent on it in this process.
-        self._seeded_sent = 0
+        # Latest counters per shard: a re-executed shard's reports
+        # replace those of its crashed attempt instead of adding to them.
+        self._shards: dict[int, dict[str, int]] = {}
+        # Shards reused from disk (resumed runs).  They count toward the
+        # sent/planned totals but not the rate/ETA: no wall time was
+        # spent on them in this process.
+        self._reused: set[int] = set()
         self._started = time.perf_counter()
         self._last_render = 0.0
         self._rendered_any = False
@@ -57,32 +60,39 @@ class ProgressReporter:
         if not self._is_tty:
             self.min_interval = max(self.min_interval, 5.0)
 
-    # -- feed callbacks (duck-called by scanner/pipeline) ----------------
+    def update(
+        self, shard: int, stats: dict[str, int], *, reused: bool = False
+    ) -> None:
+        """Record *shard*'s latest ``planned``/``sent``/``penetrations``.
 
-    def add_planned(self, count: int) -> None:
-        self.planned += count
-        self._render()
-
-    def seed_completed(self, sent: int, penetrations: int = 0) -> None:
-        """Credit work finished before this reporter started.
-
-        A resumed run reuses shard artifacts from disk; their probes
-        count toward the totals but must not count toward the rate —
-        otherwise the rate spikes and the ETA collapses to near zero
-        right after ``--resume``.
+        *reused* marks a shard whose artifact a resumed run read from
+        disk: its probes count toward the totals but not toward the
+        rate — otherwise the rate spikes and the ETA collapses to near
+        zero right after ``--resume``.
         """
-        self.sent += sent
-        self._seeded_sent += sent
-        self.penetrations += penetrations
+        self._shards[shard] = stats
+        if reused:
+            self._reused.add(shard)
         self._render()
 
-    def probe_sent(self) -> None:
-        self.sent += 1
-        self._render()
+    def _total(self, key: str, *, live: bool = False) -> int:
+        return sum(
+            stats.get(key, 0)
+            for shard, stats in self._shards.items()
+            if not (live and shard in self._reused)
+        )
 
-    def penetration(self) -> None:
-        self.penetrations += 1
-        self._render()
+    @property
+    def planned(self) -> int:
+        return self._total("planned")
+
+    @property
+    def sent(self) -> int:
+        return self._total("sent")
+
+    @property
+    def penetrations(self) -> int:
+        return self._total("penetrations")
 
     def shard_done(self) -> None:
         self.shards_done += 1
@@ -99,16 +109,15 @@ class ProgressReporter:
 
     def _line(self) -> str:
         elapsed = max(time.perf_counter() - self._started, 1e-9)
-        rate = (self.sent - self._seeded_sent) / elapsed
-        parts = [f"probes {self.sent:,}/{self.planned:,}"]
+        planned, sent = self.planned, self.sent
+        rate = self._total("sent", live=True) / elapsed
+        parts = [f"probes {sent:,}/{planned:,}"]
         parts.append(f"{rate:,.0f}/s")
         parts.append(f"penetrations {self.penetrations:,}")
         if self.total_shards:
             parts.append(f"shards {self.shards_done}/{self.total_shards}")
-        if rate > 0 and self.planned > self.sent:
-            parts.append(
-                f"eta {_format_eta((self.planned - self.sent) / rate)}"
-            )
+        if rate > 0 and planned > sent:
+            parts.append(f"eta {_format_eta((planned - sent) / rate)}")
         return "scan: " + "  ".join(parts)
 
     def _render(self, *, force: bool = False) -> None:

@@ -11,14 +11,14 @@ replay them afterwards).
 Write side: :class:`TelemetrySnapshotter`
 -----------------------------------------
 
-The snapshotter rides the scanner's progress-hook protocol (the same
-duck-typed fan-out the heartbeat and crash fuse use), checks the wall
-clock on each ``probe_sent``, and emits a snapshot whenever the
-configured interval has elapsed.  A snapshot is one or two lines:
+The scan shard's one per-probe callback calls
+:meth:`TelemetrySnapshotter.tick`, which checks the wall clock and
+emits a snapshot whenever the configured interval has elapsed.  The
+first tick snapshots at once.  A snapshot is one or two lines:
 
-* ``shard.health`` — the heartbeat, folded into the stream as a typed
-  event: pid, sim/wall time, probes sent vs planned, penetrations,
-  retry counters, event-loop queue depth, and the open span stack.
+* ``shard.health`` — the shard's live state as a typed event: pid,
+  sim/wall time, probes sent vs planned, penetrations, retry counters,
+  event-loop queue depth, and the open span stack.
 * ``metrics.delta`` — the per-metric *change* since the previous
   snapshot (counters and histogram cells as increments, gauges as
   current values).  Summing a stream's deltas reproduces the shard's
@@ -33,7 +33,8 @@ torn line and a SIGKILLed shard's stream still ends on a valid line.
 
 Streaming shares the telemetry contract: it observes, it never steers.
 Results, ``telemetry.json`` and the journal are byte-identical with
-snapshots on or off, at any snapshot interval (CI-asserted).
+snapshots on or off, at any snapshot interval (the stream tests assert
+the results on a faulted run in forked workers).
 
 Read side: :class:`StreamReader` / :class:`RunStream` / :class:`RunHealth`
 --------------------------------------------------------------------------
@@ -85,15 +86,13 @@ _ENCODER = json.JSONEncoder(
 class TelemetrySnapshotter:
     """Periodic snapshot writer for one scan shard.
 
-    Implements the progress-hook protocol (``add_planned`` /
-    ``probe_sent`` / ``penetration``) so the pipeline can fan it in
-    next to the live reporter, the heartbeat and the crash fuse; each
-    ``probe_sent`` costs one ``time.time()`` check between snapshots.
+    The shard calls :meth:`tick` after each probe it sends; between
+    snapshots a tick costs one ``time.time()`` check.
 
     ``registry`` (optional) is diffed at each snapshot into a
-    ``metrics.delta`` event.  :meth:`attach` binds the live scanner so
-    health events read real counters (retries, queue depth, sim time)
-    instead of only the hook-fed ones.
+    ``metrics.delta`` event.  :meth:`attach` binds the live scanner
+    whose counters (progress, retries, queue depth, sim time) health
+    events carry.
     """
 
     def __init__(
@@ -115,10 +114,6 @@ class TelemetrySnapshotter:
         self._fd: int | None = None
         self._closed = False
         self._next_due = 0.0
-        # Hook-fed counters (used until a scanner is attached).
-        self._planned = 0
-        self._sent = 0
-        self._penetrations = 0
         self._scanner = None
         # Previous registry state, flattened for delta computation:
         # name -> {labels: value-or-histogram-cells}.
@@ -130,22 +125,13 @@ class TelemetrySnapshotter:
         """Source health fields from *scanner* (and its event loop)."""
         self._scanner = scanner
 
-    # -- progress-hook protocol (fan-in via the pipeline's _ScanHooks) ---
+    # -- emission --------------------------------------------------------
 
-    def add_planned(self, count: int) -> None:
-        self._planned += count
-        self.snapshot(force=True)
-
-    def probe_sent(self) -> None:
-        self._sent += 1
+    def tick(self) -> None:
+        """Snapshot if the interval has elapsed since the last one."""
         now = time.time()
         if now >= self._next_due:
             self.snapshot(now=now)
-
-    def penetration(self) -> None:
-        self._penetrations += 1
-
-    # -- emission --------------------------------------------------------
 
     def _open_file(self) -> int:
         # O_TRUNC: a re-executed shard (crash recovery) starts a fresh
@@ -178,12 +164,6 @@ class TelemetrySnapshotter:
         if scanner is not None:
             fields.update(scanner.progress_stats())
             fields["queue_depth"] = scanner.fabric.loop.pending()
-        else:
-            fields.update(
-                planned=self._planned,
-                sent=self._sent,
-                penetrations=self._penetrations,
-            )
         spans = current_stack()
         if spans:
             fields["spans"] = spans
@@ -301,11 +281,6 @@ class TelemetrySnapshotter:
         if fd is not None:
             self._fd = None
             os.close(fd)
-
-    # Alias so the SIGTERM/atexit flush path can treat the snapshotter
-    # and the journal uniformly ("flush whatever you have buffered").
-    def flush(self) -> None:
-        self.close(status="killed")
 
     def _write(self, lines: list[str]) -> None:
         if not lines:

@@ -6,12 +6,15 @@ Campaigns here are small (40 ASes, 40 simulated seconds) but real: the
 expensive baselines run once per module and are shared read-only.
 """
 
+import io
 import json
+import time
 
 import pytest
 
-from repro.core import ScanConfig
+from repro.core import ScanConfig, pipeline
 from repro.core.pipeline import (
+    MIN_HANG_TIMEOUT,
     CampaignSpec,
     PartialScanError,
     PipelineError,
@@ -26,6 +29,7 @@ from repro.netsim.faults import (
     Reorder,
     ShardCrash,
 )
+from repro.obs.progress import ProgressReporter
 from repro.scenarios import MEASUREMENT_ASN
 
 SEED = 7
@@ -220,12 +224,29 @@ def crash_spec(clause: ShardCrash) -> CampaignSpec:
     )
 
 
+def assert_progress_matches_run(progress, outcome, run_dir) -> None:
+    """The live totals end on the run's own counts: a re-executed
+    shard replaces its crashed attempt, and no heartbeat file exists."""
+    scheduled = sum(
+        json.loads((run_dir / f"shard-{i:03d}.json").read_text())[
+            "metadata"
+        ]["probes_scheduled"]
+        for i in range(4)
+    )
+    assert progress.planned == scheduled
+    assert progress.sent == outcome.results["provenance"]["probes_sent"]
+    assert progress.shards_done == 4
+    assert not list(run_dir.glob("heartbeat-*"))
+
+
 def test_inline_crash_reexecutes_only_the_dead_shard(baseline, tmp_path):
     run_dir = tmp_path / "run"
+    progress = ProgressReporter(io.StringIO(), total_shards=4)
     outcome = run_pipeline(
         crash_spec(ShardCrash(shard=1, after_probes=50, mode="kill")),
         run_dir=run_dir,
         workers=0,  # inline: kill downgrades to the catchable raise
+        progress=progress,
     )
     assert outcome.scan_stats == {0: 1, 1: 2, 2: 1, 3: 1}
     assert list(run_dir.glob("crash-001-*.marker"))
@@ -235,6 +256,7 @@ def test_inline_crash_reexecutes_only_the_dead_shard(baseline, tmp_path):
     # Crash clauses never touch packet fates: the recovered run merges
     # to exactly the crash-free campaign.
     assert minus_provenance(outcome.results) == minus_provenance(baseline)
+    assert_progress_matches_run(progress, outcome, run_dir)
 
 
 def test_sigkilled_pool_worker_is_detected_and_reexecuted(
@@ -243,10 +265,12 @@ def test_sigkilled_pool_worker_is_detected_and_reexecuted(
     """The acceptance criterion: a SIGKILLed shard worker is detected,
     the shard re-executes, and the merged artifacts are unchanged."""
     run_dir = tmp_path / "run"
+    progress = ProgressReporter(io.StringIO(), total_shards=4)
     outcome = run_pipeline(
         crash_spec(ShardCrash(shard=1, after_probes=50, mode="kill")),
         run_dir=run_dir,
         workers=2,
+        progress=progress,
     )
     assert outcome.scan_stats[1] >= 2  # the dead shard re-executed
     assert list(run_dir.glob("crash-001-*.marker"))
@@ -254,6 +278,7 @@ def test_sigkilled_pool_worker_is_detected_and_reexecuted(
     assert scenario_sources(run_dir) == {"inherited"}
     assert not (run_dir / "scenario.bin").exists()
     assert minus_provenance(outcome.results) == minus_provenance(baseline)
+    assert_progress_matches_run(progress, outcome, run_dir)
 
 
 def test_hung_worker_is_reaped_and_reexecuted(baseline, tmp_path):
@@ -266,6 +291,32 @@ def test_hung_worker_is_reaped_and_reexecuted(baseline, tmp_path):
     )
     assert outcome.scan_stats[1] >= 2
     assert minus_provenance(outcome.results) == minus_provenance(baseline)
+
+
+def _slow_start_shard_main(job, conn) -> None:
+    """A shard worker whose start-up outlasts the smallest hang
+    timeout, as a spawned worker's interpreter start can on a loaded
+    host."""
+    time.sleep(MIN_HANG_TIMEOUT + 0.5)
+    pipeline._fork_shard_main(job, conn)
+
+
+def test_slow_spawned_start_up_is_not_reaped(tmp_path, monkeypatch):
+    """A worker's hang clock starts at its first report, so start-up
+    slower than the smallest hang timeout never reaps a healthy
+    spawned worker."""
+    monkeypatch.setattr(pipeline, "_START_METHOD", "spawn")
+    monkeypatch.setattr(pipeline, "_fork_shard_main", _slow_start_shard_main)
+    spec = CampaignSpec.from_scan_config(
+        seed=SEED, n_ases=8, shards=2, config=ScanConfig(duration=DURATION)
+    )
+    outcome = run_pipeline(
+        spec,
+        run_dir=tmp_path / "run",
+        workers=2,
+        hang_timeout=MIN_HANG_TIMEOUT,
+    )
+    assert outcome.scan_stats == {0: 1, 1: 1}
 
 
 def test_exhausted_shard_raises_partial_and_resumes(baseline, tmp_path):

@@ -19,10 +19,12 @@ def test_eta_formatting():
 
 def test_counts_accumulate_through_callbacks():
     reporter = ProgressReporter(io.StringIO(), total_shards=4)
-    reporter.add_planned(100)
-    for _ in range(7):
-        reporter.probe_sent()
-    reporter.penetration()
+    # Each report carries a shard's running totals; the latest one
+    # replaces the shard's earlier reports.
+    for sent in range(1, 8):
+        reporter.update(
+            0, {"planned": 100, "sent": sent, "penetrations": sent // 7}
+        )
     reporter.shard_done()
     assert reporter.planned == 100
     assert reporter.sent == 7
@@ -35,7 +37,7 @@ def test_nontty_renders_plain_lines():
     reporter = ProgressReporter(stream, total_shards=2)
     # Non-tty throttling stretches to >= 5s between renders.
     assert reporter.min_interval >= 5.0
-    reporter.add_planned(10)
+    reporter.update(0, {"planned": 10, "sent": 0})
     reporter.shard_done()  # forced render
     lines = stream.getvalue().splitlines()
     assert lines
@@ -47,8 +49,7 @@ def test_nontty_renders_plain_lines():
 def test_tty_redraws_in_place_and_finishes_with_newline():
     stream = TtyStream()
     reporter = ProgressReporter(stream, total_shards=1)
-    reporter.add_planned(5)
-    reporter.probe_sent()
+    reporter.update(0, {"planned": 5, "sent": 1})
     reporter.finish()
     value = stream.getvalue()
     assert value.startswith("\r")
@@ -58,8 +59,7 @@ def test_tty_redraws_in_place_and_finishes_with_newline():
 def test_eta_appears_once_rate_is_known():
     stream = io.StringIO()
     reporter = ProgressReporter(stream)
-    reporter.add_planned(1_000_000)
-    reporter.probe_sent()
+    reporter.update(0, {"planned": 1_000_000, "sent": 1})
     reporter.shard_done()
     assert "eta " in stream.getvalue()
 
@@ -73,15 +73,16 @@ def test_silent_when_nothing_rendered():
     assert stream.getvalue().startswith("\r")
 
 
-def test_seed_completed_counts_toward_totals_not_rate():
+def test_reused_shard_counts_toward_totals_not_rate():
     stream = io.StringIO()
     reporter = ProgressReporter(stream)
-    reporter.add_planned(1_000)
-    # A resumed run credits 900 probes of prior work instantly; the
+    # A resumed run credits 900 probes of a reused shard instantly; the
     # rate must come only from the 1 live probe, so the ETA does not
     # collapse to ~0.
-    reporter.seed_completed(900, penetrations=12)
-    reporter.probe_sent()
+    reporter.update(
+        0, {"planned": 900, "sent": 900, "penetrations": 12}, reused=True
+    )
+    reporter.update(1, {"planned": 100, "sent": 1})
     assert reporter.sent == 901
     assert reporter.penetrations == 12
     elapsed = 10.0
@@ -90,15 +91,16 @@ def test_seed_completed_counts_toward_totals_not_rate():
     assert "probes 901/1,000" in line
     # Rate reflects live work only (1 probe / ~10s ≈ 0/s rendered),
     # nowhere near the 90/s a naive sent/elapsed would claim.
-    rate = (reporter.sent - reporter._seeded_sent) / elapsed
-    assert rate < 1.0
-    assert f"{rate:,.0f}/s" in line
+    assert reporter._total("sent", live=True) == 1
+    assert "  0/s  " in line
+    assert "90/s" not in line
 
 
 def test_seeding_everything_disables_eta():
     stream = io.StringIO()
     reporter = ProgressReporter(stream)
-    reporter.add_planned(500)
-    reporter.seed_completed(500)
+    reporter.update(0, {"planned": 500, "sent": 500}, reused=True)
     # Fully-resumed run: no live probes, rate 0, no bogus ETA.
-    assert "eta" not in reporter._line()
+    line = reporter._line()
+    assert "  0/s  " in line
+    assert "eta" not in line

@@ -7,11 +7,13 @@ import subprocess
 import sys
 import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.core.pipeline import CampaignSpec, run_pipeline
 from repro.core.scanner import ScanConfig
+from repro.netsim.faults import FaultPlan
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.stream import (
     RunHealth,
@@ -39,10 +41,8 @@ def read_events(path):
 def test_snapshotter_envelope_and_lifecycle(tmp_path):
     path = tmp_path / "telemetry-stream-003.ndjson"
     snapshotter = TelemetrySnapshotter(path, shard_id=3, interval=100.0)
-    snapshotter.add_planned(50)  # forced snapshot
     for _ in range(5):
-        snapshotter.probe_sent()
-    snapshotter.penetration()
+        snapshotter.tick()
     snapshotter.close()
     events = read_events(path)
     validate_stream_events(events)
@@ -54,20 +54,19 @@ def test_snapshotter_envelope_and_lifecycle(tmp_path):
     assert all(e["shard"] == 3 for e in events)
     assert all(e["v"] == 1 for e in events)
     health = [e for e in events if e["kind"] == "shard.health"]
-    # Hook-fed counters reach the final health event.
-    assert health[-1]["planned"] == 50
-    assert health[-1]["sent"] == 5
-    assert health[-1]["penetrations"] == 1
+    # The first tick snapshots at once, the interval throttles the
+    # other four, and close() takes the final snapshot.
+    assert len(health) == 2
 
 
 def test_snapshotter_close_is_idempotent(tmp_path):
     path = tmp_path / "s.ndjson"
     snapshotter = TelemetrySnapshotter(path, interval=0.001)
-    snapshotter.probe_sent()
+    snapshotter.tick()
     snapshotter.close()
     first = path.read_text()
     snapshotter.close()
-    snapshotter.flush()
+    snapshotter.close(status="killed")
     assert path.read_text() == first
 
 
@@ -220,18 +219,29 @@ def minus_provenance(results):
     return {k: v for k, v in results.items() if k != "provenance"}
 
 
-def run_streamed(tmp_path, name, *, shards, interval=0.001, stream=True):
+def run_streamed(
+    tmp_path,
+    name,
+    *,
+    shards,
+    interval=0.001,
+    stream=True,
+    workers=0,
+    faults=None,
+    retries=0,
+):
     spec = CampaignSpec.from_scan_config(
         seed=11,
         n_ases=30,
         shards=shards,
-        config=ScanConfig(duration=45.0),
+        config=ScanConfig(duration=45.0, max_retries=retries),
         stream=stream,
+        faults=faults,
     )
     outcome = run_pipeline(
         spec,
         run_dir=tmp_path / name,
-        workers=0,
+        workers=workers,
         snapshot_interval=interval,
     )
     return outcome
@@ -282,11 +292,40 @@ def test_n_shard_stream_matches_single_shard(tmp_path):
         assert events[-1]["kind"] == "stream.close"
 
 
+BURST_LOSS = (
+    Path(__file__).parents[2] / "examples" / "faultplans" / "burst-loss.json"
+)
+
+
 def test_streaming_never_changes_results(tmp_path):
-    on = run_streamed(tmp_path, "on", shards=2)
-    off = run_streamed(tmp_path, "off", shards=2, stream=False)
+    """A faulted, retried 4-shard campaign in forked workers: results
+    are the same with streams on or off, and each worker's stream is
+    complete down to its final probe count."""
+    faulted = dict(
+        shards=4,
+        interval=0.05,
+        workers=2,
+        faults=FaultPlan.load(BURST_LOSS).to_payload(),
+        retries=3,
+    )
+    on = run_streamed(tmp_path, "on", **faulted)
+    off = run_streamed(tmp_path, "off", stream=False, **faulted)
     assert minus_provenance(on.results) == minus_provenance(off.results)
     assert not list((tmp_path / "off").glob("telemetry-stream-*"))
+    for shard in range(4):
+        events = read_events(
+            tmp_path / "on" / f"telemetry-stream-{shard:03d}.ndjson"
+        )
+        validate_stream_events(events)
+        kinds = {event["kind"] for event in events}
+        assert events[0]["kind"] == "stream.open"
+        assert {"shard.health", "metrics.delta"} <= kinds
+        assert events[-1]["kind"] == "stream.close"
+        health = [e for e in events if e["kind"] == "shard.health"]
+        artifact = json.loads(
+            (tmp_path / "on" / f"shard-{shard:03d}.json").read_text()
+        )
+        assert health[-1]["sent"] == artifact["metadata"]["probes_sent"]
 
 
 def test_stream_requires_run_dir():
@@ -324,11 +363,10 @@ _KILLED_WRITER = textwrap.dedent(
     snap = TelemetrySnapshotter(
         {path!r}, shard_id=0, interval=0.0001, registry=registry
     )
-    snap.add_planned(10_000)
     print("ready", flush=True)
     while True:
         counter.inc()
-        snap.probe_sent()
+        snap.tick()
     """
 )
 

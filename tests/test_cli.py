@@ -178,6 +178,10 @@ def test_scan_journal_requires_run_dir(capsys):
             ["--shards", "2", "--workers", "2", "--hang-timeout", "0"],
             id="hang-timeout",
         ),
+        pytest.param(
+            ["--shards", "2", "--workers", "2", "--hang-timeout", "0.5"],
+            id="hang-timeout-floor",
+        ),
     ],
 )
 def test_scan_bad_input_exits_two_with_one_line(capsys, tmp_path, flags):
@@ -348,6 +352,23 @@ def test_scan_resume_accepts_matching_flags(capsys, tmp_path):
     # Re-stating the recorded values (or nothing) is fine.
     assert main(["scan", "--resume", str(run_dir), "--seed", "3",
                  "--n-ases", "15", "--quiet"]) == 0
+
+
+def test_scan_resume_progress_counts_recorded_shards(capsys, tmp_path):
+    """A resumed run's progress line counts shards against the spec
+    recorded in the run directory."""
+    run_dir = tmp_path / "run"
+    assert main(["scan", "--n-ases", "15", "--seed", "3",
+                 "--duration", "40", "--shards", "2", "--workers", "0",
+                 "--quiet", "--run-dir", str(run_dir)]) == 0
+    for name in ("shard-001.json", "observations.json", "results.json",
+                 "report.txt"):
+        (run_dir / name).unlink()
+    capsys.readouterr()
+    assert main(["scan", "--resume", str(run_dir)]) == 0
+    err = capsys.readouterr().err
+    progress = [line for line in err.splitlines() if line.startswith("scan:")]
+    assert "shards 2/2" in progress[-1]
 
 
 def test_scan_resume_missing_dir_errors(capsys, tmp_path):
