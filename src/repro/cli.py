@@ -9,8 +9,8 @@ Subcommands:
 * ``obs``    — render a run directory's ``telemetry.json`` (from
   ``scan --metrics``): span timings, counters, histograms.
 * ``watch``  — live dashboard over a running (or finished) campaign's
-  telemetry streams (from ``scan --snapshots``): per-shard rates and
-  health, merged ``--json`` event stream, Prometheus textfile.
+  telemetry stream (from ``scan --snapshots``): per-shard rates and
+  health, ``--json`` event stream, Prometheus textfile.
 * ``explain`` — reconstruct per-probe causal chains from a run
   directory's ``events.ndjson`` (from ``scan --journal``), or audit
   that every classification is backed by journal evidence.
@@ -99,6 +99,7 @@ def _resume_mismatches(
 
 def cmd_scan(args: argparse.Namespace) -> int:
     import json as _json
+    from pathlib import Path
 
     from .core.pipeline import CampaignSpec, PipelineError
 
@@ -122,6 +123,16 @@ def cmd_scan(args: argparse.Namespace) -> int:
             faults_payload = FaultPlan.load(args.faults).to_payload()
         except (OSError, ValueError) as exc:
             print(f"error: --faults {args.faults}: {exc}", file=sys.stderr)
+            return 2
+
+    for name in ("run_dir", "resume", "scenario_cache", "ledger"):
+        value = getattr(args, name)
+        if value is not None and Path(value).is_file():
+            flag = "--" + name.replace("_", "-")
+            print(
+                f"error: {flag} {value} is a file, not a directory",
+                file=sys.stderr,
+            )
             return 2
 
     if args.resume is not None:
@@ -152,7 +163,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if args.snapshots and args.resume is None and args.run_dir is None:
         print(
             "error: --snapshots requires --run-dir "
-            "(telemetry-stream-NNN.ndjson needs somewhere to live)",
+            "(telemetry-stream.ndjson needs somewhere to live)",
             file=sys.stderr,
         )
         return 2
@@ -250,8 +261,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
             "paper-claim verdicts need a live campaign)"
         )
     if args.json is not None:
-        from pathlib import Path
-
         Path(args.json).write_text(
             _json.dumps(outcome.results, indent=2)
         )
@@ -266,14 +275,12 @@ def cmd_scan(args: argparse.Namespace) -> int:
                 f"telemetry written to {outcome.run_dir}/telemetry.json"
             )
     if outcome.run_dir is not None:
-        from pathlib import Path
-
         events = Path(outcome.run_dir) / "events.ndjson"
         if events.exists():
             status(f"probe journal written to {events}")
-        if any(Path(outcome.run_dir).glob("telemetry-stream-*.ndjson")):
+        if (Path(outcome.run_dir) / "telemetry-stream.ndjson").exists():
             status(
-                f"telemetry streams in {outcome.run_dir} — replay with "
+                f"telemetry stream in {outcome.run_dir} — replay with "
                 f"`repro-dsav watch {outcome.run_dir}`"
             )
     if args.ledger is not None:
@@ -814,8 +821,8 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument(
         "--snapshots", action="store_true",
         help="stream periodic telemetry snapshots (shard health + "
-        "metric deltas) to telemetry-stream-NNN.ndjson in --run-dir; "
-        "tail them live with `repro-dsav watch`.  Results are "
+        "metric deltas) of every shard to telemetry-stream.ndjson in "
+        "--run-dir; tail it live with `repro-dsav watch`.  Results are "
         "byte-identical with or without this flag",
     )
     scan.add_argument(
@@ -868,13 +875,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     watch = sub.add_parser(
         "watch",
-        help="live dashboard over a run's telemetry streams "
+        help="live dashboard over a run's telemetry stream "
         "(scan --snapshots)",
     )
     watch.add_argument("run_dir", metavar="RUN_DIR")
     watch.add_argument(
         "--json", action="store_true",
-        help="emit the merged event stream as NDJSON on stdout "
+        help="emit the run's event stream as NDJSON on stdout "
         "instead of the dashboard",
     )
     watch.add_argument(

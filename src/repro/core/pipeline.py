@@ -61,6 +61,7 @@ import atexit
 import hashlib
 import heapq
 import json
+import math
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -77,6 +78,7 @@ from ..netsim.topology import TopologySpec
 from ..obs.export import telemetry_payload, write_telemetry
 from ..obs.metrics import MetricsRegistry
 from ..obs.spans import SpanRecorder, activate, span
+from ..obs.stream import STREAM_FILE, StreamWriter, TelemetrySnapshotter
 from .campaign import Campaign, ScanMetadata
 from .collection import Collector
 from .scanner import ScanConfig
@@ -161,8 +163,8 @@ class CampaignSpec:
     #: record the per-probe event journal into ``events.ndjson``.
     #: Requires a run directory; never affects ``results.json``.
     journal: bool = False
-    #: stream periodic telemetry snapshots into per-shard
-    #: ``telemetry-stream-NNN.ndjson`` files for live observation
+    #: stream periodic telemetry snapshots of every shard into the
+    #: run's ``telemetry-stream.ndjson`` for live observation
     #: (``repro watch``).  Requires a run directory; advisory only —
     #: never affects ``results.json`` or ``telemetry.json``.
     stream: bool = False
@@ -369,9 +371,10 @@ class RunDirectory:
     def shard_events_path(self, shard_id: int) -> Path:
         return self.path / f"events-{shard_id:03d}.ndjson"
 
-    def stream_path(self, shard_id: int) -> Path:
-        """Per-shard live telemetry stream (``repro watch`` tails these)."""
-        return self.path / f"telemetry-stream-{shard_id:03d}.ndjson"
+    @property
+    def stream_path(self) -> Path:
+        """The run's live telemetry stream (``repro watch`` tails it)."""
+        return self.path / STREAM_FILE
 
     @property
     def faults_path(self) -> Path:
@@ -644,7 +647,7 @@ def _on_probe(scanner, snapshotter, fuse, report):
 
 
 def run_scan_shard(
-    payload: dict[str, Any], report=None
+    payload: dict[str, Any], report=None, stream=None
 ) -> dict[str, Any]:
     """Scan one shard of the target space; module-level for pickling.
 
@@ -659,7 +662,10 @@ def run_scan_shard(
     ``report``, if given, receives ``{}`` as the shard starts, then the
     scanner's :meth:`~repro.core.scanner.Scanner.progress_stats` once
     it is built, at most every :data:`_REPORT_INTERVAL` seconds while
-    probes go out, and once more when the scan ends.
+    probes go out, and once more when the scan ends.  When the spec
+    streams, ``stream`` receives each telemetry snapshot of this
+    execution as one list of events, the first of them its
+    ``stream.open`` (see :class:`~repro.obs.stream.TelemetrySnapshotter`).
     """
     if report is not None:
         report({})
@@ -686,15 +692,9 @@ def run_scan_shard(
             path=Path(run_dir) / f"events-{shard_id:03d}.ndjson",
         )
     snapshotter = None
-    if spec.stream:
-        from ..obs.stream import TelemetrySnapshotter
-
-        if rd is None:
-            raise ValueError(
-                "telemetry streaming requires a run directory"
-            )
+    if spec.stream and stream is not None:
         snapshotter = TelemetrySnapshotter(
-            rd.stream_path(shard_id),
+            stream,
             shard_id=shard_id,
             interval=payload.get("snapshot_interval", 1.0),
             registry=registry,
@@ -781,22 +781,17 @@ def run_scan_shard(
                 snapshotter.close()
             return scanner, collector, run_span.wall if run_span else 0.0
 
-    # Flush buffered observability tails when a worker is torn down
-    # early: the hang reaper's SIGTERM or a plain process exit.  Only
+    # Flush the buffered journal tail when a worker is torn down early:
+    # the hang reaper's SIGTERM or a plain process exit.  Only
     # complete, already-serialized lines are written, so a half-dead
-    # worker still leaves parseable files.
+    # worker still leaves a parseable file.
     flush_tail = None
     previous_sigterm = None
-    if payload.get("in_worker") and (
-        journal is not None or snapshotter is not None
-    ):
+    if payload.get("in_worker") and journal is not None:
 
         def flush_tail(signum=None, frame=None):
             try:
-                if journal is not None:
-                    journal.flush()
-                if snapshotter is not None:
-                    snapshotter.close(status="sigterm")
+                journal.flush()
             finally:
                 if signum is not None:
                     os._exit(128 + signum)
@@ -1120,9 +1115,8 @@ class _ShardCacheContext:
         self.cache.store(key, {"artifact": artifact, "events": events})
 
 
-#: Seconds a SIGTERMed hung worker gets to flush its observability
-#: tail (journal, telemetry stream) before the reaper escalates to
-#: SIGKILL.
+#: Seconds a SIGTERMed hung worker gets to flush its journal tail
+#: before the reaper escalates to SIGKILL.
 _TERM_GRACE = 5.0
 
 
@@ -1137,14 +1131,17 @@ _START_METHOD = (
 def _fork_shard_main(job: dict[str, Any], conn) -> None:
     """Entry point of one shard worker process.
 
-    Runs the shard, sending its progress reports over the pipe as it
-    scans, then ships the artifact — or the exception — back over the
-    same pipe.  Any death without a message (scripted SIGKILL, OOM,
-    hang reaper) surfaces to the parent as EOF on the pipe.
+    Runs the shard, sending its progress reports and telemetry
+    snapshots over the pipe as it scans, then ships the artifact — or
+    the exception — back over the same pipe.  Any death without a
+    message (scripted SIGKILL, OOM, hang reaper) surfaces to the parent
+    as EOF on the pipe.
     """
     try:
         artifact = run_scan_shard(
-            job, lambda stats: conn.send(("progress", stats))
+            job,
+            lambda stats: conn.send(("progress", stats)),
+            lambda events: conn.send(("stream", events)),
         )
     except BaseException as exc:  # noqa: BLE001 — relayed, not handled
         try:
@@ -1160,6 +1157,7 @@ def _run_fork_round(
     workers: int,
     progress,
     hang_timeout: float | None,
+    stream: StreamWriter | None,
 ) -> tuple[list[dict[str, Any]], list[tuple[dict[str, Any], BaseException]]]:
     """One process-per-job pass over *jobs*.
 
@@ -1172,15 +1170,16 @@ def _run_fork_round(
     dies without sending one (scripted crash, OOM kill, hang reaper) is
     reported as failed, and the caller's retry rounds re-execute it.
 
-    A worker's progress reports arrive on the same pipe: each feeds
-    *progress* and restarts the worker's silence clock, which starts at
-    its first report (sent as its shard starts), so a spawned worker's
-    interpreter start-up is never judged.  With *hang_timeout*, a worker
-    silent that long gets SIGTERM — its flush handler writes the
-    buffered journal/stream tail and exits — then SIGKILL after
-    :data:`_TERM_GRACE` seconds more, both through its own ``Process``
-    object.  An unread message on its pipe counts as life, so a parent
-    slow to read never reaps a healthy worker.
+    A worker's progress reports and telemetry snapshots arrive on the
+    same pipe: a report feeds *progress*, a snapshot is appended to
+    *stream*, and either restarts the worker's silence clock, which
+    starts at its first report (sent as its shard starts), so a spawned
+    worker's interpreter start-up is never judged.  With
+    *hang_timeout*, a worker silent that long gets SIGTERM — its flush
+    handler writes the buffered journal tail and exits — then SIGKILL
+    after :data:`_TERM_GRACE` seconds more, both through its own
+    ``Process`` object.  An unread message on its pipe counts as life,
+    so a parent slow to read never reaps a healthy worker.
     """
     ctx = multiprocessing.get_context(_START_METHOD)
     completed: list[dict[str, Any]] = []
@@ -1225,6 +1224,10 @@ def _run_fork_round(
                 seen[conn] = time.monotonic()
                 if progress is not None:
                     progress.update(job["shard_id"], value)
+                continue
+            if kind == "stream":
+                seen[conn] = time.monotonic()
+                stream.write(value)
                 continue
             del active[conn]
             conn.close()
@@ -1346,14 +1349,18 @@ def run_pipeline(
     # nothing behind.
     if workers is not None and workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
-    if hang_timeout is not None and hang_timeout < MIN_HANG_TIMEOUT:
+    # Written so that NaN fails too: every comparison with it is false.
+    if hang_timeout is not None and not (
+        MIN_HANG_TIMEOUT <= hang_timeout < math.inf
+    ):
         raise ValueError(
-            f"hang timeout must be at least {MIN_HANG_TIMEOUT:g} seconds, "
-            f"got {hang_timeout:g}"
+            f"hang timeout must be finite and at least "
+            f"{MIN_HANG_TIMEOUT:g} seconds, got {hang_timeout:g}"
         )
-    if snapshot_interval <= 0:
+    if not 0 < snapshot_interval < math.inf:
         raise ValueError(
-            f"snapshot interval must be positive, got {snapshot_interval}"
+            "snapshot interval must be positive and finite, "
+            f"got {snapshot_interval}"
         )
     rd = RunDirectory(run_dir) if run_dir is not None else None
     if ledger is not None and rd is None:
@@ -1369,7 +1376,7 @@ def run_pipeline(
     if spec.stream and rd is None:
         raise ValueError(
             "stream=True requires a run directory (the telemetry "
-            "stream files need somewhere to live)"
+            "stream file needs somewhere to live)"
         )
     if rd is not None:
         rd.bind_spec(spec)
@@ -1783,6 +1790,9 @@ def _run_scan_stage(
         if workers is None:
             workers = min(len(pending), os.cpu_count() or 1)
         inline = workers <= 0 or len(pending) == 1
+        # Every shard's snapshots, whichever process scans it, are
+        # appended to the run's one stream file by this process.
+        stream = StreamWriter(rd.stream_path) if spec.stream else None
         results: list[dict[str, Any]] = []
         remaining = pending
         while remaining:
@@ -1792,20 +1802,25 @@ def _run_scan_stage(
             if inline:
                 round_results, failed = [], []
                 for job in remaining:
+                    sinks = {}
+                    if progress is not None:
+                        sinks["report"] = partial(
+                            progress.update, job["shard_id"]
+                        )
+                    if stream is not None:
+                        sinks["stream"] = stream.write
                     try:
-                        if progress is not None:
-                            report = partial(progress.update, job["shard_id"])
-                            round_results.append(run_scan_shard(job, report))
-                            progress.shard_done()
-                        else:
-                            round_results.append(run_scan_shard(job))
+                        round_results.append(run_scan_shard(job, **sinks))
                     except ShardCrashInjected as exc:
                         failed.append((job, exc))
+                        continue
+                    if progress is not None:
+                        progress.shard_done()
             else:
                 for job in remaining:
                     job["in_worker"] = True
                 round_results, failed = _run_fork_round(
-                    remaining, workers, progress, hang_timeout
+                    remaining, workers, progress, hang_timeout, stream
                 )
             # Persist survivors immediately (in shard order, so stage
             # bookkeeping stays deterministic despite worker races) —
@@ -1832,6 +1847,12 @@ def _run_scan_stage(
                 else:
                     retry_jobs.append(job)
             if exhausted:
+                if stream is not None:
+                    # Only now: a failed attempt that will be retried
+                    # stays open, so the run does not look finished
+                    # between a crash and the shard's re-execution.
+                    for shard_id, exc in exhausted:
+                        stream.close_shard(shard_id, f"failed: {exc}")
                 detail = "; ".join(
                     f"shard {shard_id}: {exc!r}"
                     for shard_id, exc in exhausted

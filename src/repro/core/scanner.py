@@ -12,6 +12,7 @@ the *first* time a target is observed.
 from __future__ import annotations
 
 import heapq
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import partial
@@ -156,8 +157,10 @@ class ScanConfig:
     pinned_retry_budget: int | None = None
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        if not 0 < self.duration < math.inf:
+            raise ValueError(
+                f"duration must be positive and finite, got {self.duration}"
+            )
         if self.followup_count < 1:
             raise ValueError("followup_count must be >= 1")
         if self.max_rate is not None and self.max_rate <= 0:

@@ -32,11 +32,12 @@ This package gives the reproduction the same property:
     A live rate/ETA progress line on stderr fed by each scan shard's
     progress reports, so long campaigns are not silent.
 ``stream``
-    The live data plane: a :class:`TelemetrySnapshotter` appending
-    periodic metric deltas and ``shard.health`` events to per-shard
-    ``telemetry-stream-NNN.ndjson`` files, plus the
+    The live data plane: each shard's :class:`TelemetrySnapshotter`
+    builds periodic metric deltas and ``shard.health`` events, the
+    pipeline parent's :class:`StreamWriter` appends every shard's to
+    the run's one ``telemetry-stream.ndjson``, and the
     :class:`StreamReader`/:class:`RunStream`/:class:`RunHealth` layer
-    that tails and merges them into derived run health.
+    tails it into derived run health.
 ``watch``
     The ``repro watch`` CLI: a TTY dashboard over a live or finished
     run, ``--json`` event streaming, and a continuously rewritten

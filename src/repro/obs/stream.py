@@ -1,35 +1,42 @@
 """Live telemetry streaming: the run observatory's data plane.
 
-PR 3's ``telemetry.json`` and PR 4's journal are post-hoc: nothing can
-be read until the campaign ends.  This module turns the run directory
-into a *live* surface.  Each scan shard appends periodic snapshots —
+``telemetry.json`` and the probe journal are post-hoc: nothing can be
+read until the campaign ends.  This module turns the run directory
+into a *live* surface.  Each scan shard builds periodic snapshots —
 metric deltas, open-span state, queue depth, retry/fault counters and
-scan progress — to its own ``telemetry-stream-NNN.ndjson``, and any
-number of readers tail those files while the run is in flight (or
-replay them afterwards).
+scan progress — and the pipeline parent appends every shard's to the
+run's one ``telemetry-stream.ndjson``, which any number of readers
+tail while the run is in flight (or replay afterwards).
 
-Write side: :class:`TelemetrySnapshotter`
------------------------------------------
+Write side: :class:`TelemetrySnapshotter` → :class:`StreamWriter`
+-----------------------------------------------------------------
 
 The scan shard's one per-probe callback calls
 :meth:`TelemetrySnapshotter.tick`, which checks the wall clock and
 emits a snapshot whenever the configured interval has elapsed.  The
-first tick snapshots at once.  A snapshot is one or two lines:
+first tick snapshots at once.  A snapshot is one list of events:
 
 * ``shard.health`` — the shard's live state as a typed event: pid,
   sim/wall time, probes sent vs planned, penetrations, retry counters,
   event-loop queue depth, and the open span stack.
 * ``metrics.delta`` — the per-metric *change* since the previous
   snapshot (counters and histogram cells as increments, gauges as
-  current values).  Summing a stream's deltas reproduces the shard's
-  final registry, so readers never need the end-of-run artifact.
+  current values).  Summing an attempt's deltas reproduces the
+  shard's final registry, so readers never need the end-of-run
+  artifact.
+
+A forked worker sends the list over the pipe it reports progress on;
+an inline shard hands it to the parent's :class:`StreamWriter`
+directly.  The writer appends it as complete lines with a **single**
+``os.write``, so a reader never observes a torn line.
 
 Every line carries a versioned envelope: schema version ``v``, the
-shard id, a per-shard monotonic ``seq``, and both wall-clock
-(``t_wall``, epoch seconds — merge key across shards) and simulated
-(``t_sim``) timestamps.  Lines are buffered complete and flushed with
-a **single** ``os.write`` per snapshot, so a reader never observes a
-torn line and a SIGKILLed shard's stream still ends on a valid line.
+shard id, a ``seq`` that rises within one execution (attempt) of the
+shard, and both wall-clock (``t_wall``, epoch seconds) and simulated
+(``t_sim``) timestamps.  Each attempt opens with its own
+``stream.open``, so a re-executed shard appends a new attempt and
+nothing is rewritten.  A shard out of attempts gets its
+``stream.close`` from the parent, with a ``failed: …`` status.
 
 Streaming shares the telemetry contract: it observes, it never steers.
 Results, ``telemetry.json`` and the journal are byte-identical with
@@ -39,16 +46,14 @@ the results on a faulted run in forked workers).
 Read side: :class:`StreamReader` / :class:`RunStream` / :class:`RunHealth`
 --------------------------------------------------------------------------
 
-:class:`StreamReader` tails one shard file, tolerating torn tails and
-mid-run truncation (a re-executed shard rewrites its stream from
-scratch).  :class:`RunStream` discovers and merges every shard stream
-of a run directory by ``(t_wall, shard, seq)``.  :class:`RunHealth`
-folds the merged events into derived run state: per-shard progress and
+:class:`StreamReader` tails the file, tolerating torn tails.
+:class:`RunStream` adds the run's end condition.  :class:`RunHealth`
+folds the events into derived run state — per-shard progress and
 rates, stalled-shard detection, a running penetration-rate estimate
 with per-ASN top movers, recent drop reasons, and an accumulated
 :class:`~repro.obs.metrics.MetricsRegistry` ready for Prometheus
-export — the surface ``repro-dsav watch`` renders and the future
-campaign-as-a-service daemon will serve from ``/metrics``.
+export — counting each shard's latest attempt only.  That is the
+surface ``repro-dsav watch`` renders.
 """
 
 from __future__ import annotations
@@ -61,11 +66,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .metrics import Histogram, MetricsRegistry
+from .metrics import METRICS_SCHEMA_VERSION, Histogram, MetricsRegistry
 from .spans import current_stack
 
 #: Version stamped as ``v`` into every stream event line.
 STREAM_SCHEMA_VERSION = 1
+
+#: The run directory's one telemetry stream file.
+STREAM_FILE = "telemetry-stream.ndjson"
 
 #: Every event kind a telemetry stream may contain.
 STREAM_EVENT_KINDS = frozenset(
@@ -83,11 +91,25 @@ _ENCODER = json.JSONEncoder(
 # ---------------------------------------------------------------------------
 
 
+def _envelope(
+    kind: str, shard: int, seq: int, t_wall: float, t_sim
+) -> dict[str, Any]:
+    return {
+        "v": STREAM_SCHEMA_VERSION,
+        "kind": kind,
+        "shard": shard,
+        "seq": seq,
+        "t_wall": round(t_wall, 6),
+        "t_sim": t_sim,
+    }
+
+
 class TelemetrySnapshotter:
-    """Periodic snapshot writer for one scan shard.
+    """Periodic snapshot builder for one execution of a scan shard.
 
     The shard calls :meth:`tick` after each probe it sends; between
-    snapshots a tick costs one ``time.time()`` check.
+    snapshots a tick costs one ``time.time()`` check.  Each snapshot's
+    events go to *sink* as one list.
 
     ``registry`` (optional) is diffed at each snapshot into a
     ``metrics.delta`` event.  :meth:`attach` binds the live scanner
@@ -97,7 +119,7 @@ class TelemetrySnapshotter:
 
     def __init__(
         self,
-        path: Path | str,
+        sink,
         *,
         shard_id: int = 0,
         interval: float = 1.0,
@@ -105,13 +127,11 @@ class TelemetrySnapshotter:
     ) -> None:
         if interval <= 0:
             raise ValueError("interval must be positive")
-        self.path = Path(path)
+        self.sink = sink
         self.shard_id = shard_id
         self.interval = interval
         self.registry = registry
-        self.events_written = 0
         self._seq = 0
-        self._fd: int | None = None
         self._closed = False
         self._next_due = 0.0
         self._scanner = None
@@ -133,28 +153,10 @@ class TelemetrySnapshotter:
         if now >= self._next_due:
             self.snapshot(now=now)
 
-    def _open_file(self) -> int:
-        # O_TRUNC: a re-executed shard (crash recovery) starts a fresh
-        # stream; readers treat the shrink as a rewind.
-        fd = os.open(
-            self.path,
-            os.O_WRONLY | os.O_CREAT | os.O_TRUNC,
-            0o644,
-        )
-        self._fd = fd
-        return fd
-
     def _envelope(self, kind: str, t_wall: float) -> dict[str, Any]:
         scanner = self._scanner
         t_sim = scanner.fabric.now if scanner is not None else None
-        event = {
-            "v": STREAM_SCHEMA_VERSION,
-            "kind": kind,
-            "shard": self.shard_id,
-            "seq": self._seq,
-            "t_wall": round(t_wall, 6),
-            "t_sim": t_sim,
-        }
+        event = _envelope(kind, self.shard_id, self._seq, t_wall, t_sim)
         self._seq += 1
         return event
 
@@ -235,8 +237,8 @@ class TelemetrySnapshotter:
         now: float | None = None,
         status: str = "running",
     ) -> int:
-        """Emit one snapshot (health + metric deltas); returns lines
-        written.  Throttled to ``interval`` unless *force*."""
+        """Emit one snapshot (health + metric deltas); returns events
+        emitted.  Throttled to ``interval`` unless *force*."""
         if self._closed:
             return 0
         if now is None:
@@ -244,29 +246,28 @@ class TelemetrySnapshotter:
         if not force and now < self._next_due:
             return 0
         self._next_due = now + self.interval
-        lines: list[str] = []
+        events: list[dict[str, Any]] = []
         if self._seq == 0:
             opening = self._envelope("stream.open", now)
             opening["pid"] = os.getpid()
             opening["interval"] = self.interval
-            lines.append(_ENCODER.encode(opening))
+            events.append(opening)
         health = self._envelope("shard.health", now)
         health.update(self._health_fields())
         health["status"] = status
-        lines.append(_ENCODER.encode(health))
+        events.append(health)
         deltas = self._metric_deltas()
         if deltas:
             event = self._envelope("metrics.delta", now)
             event["deltas"] = deltas
-            lines.append(_ENCODER.encode(event))
-        self._write(lines)
-        return len(lines)
+            events.append(event)
+        self.sink(events)
+        return len(events)
 
     def close(self, status: str = "complete") -> None:
         """Emit a final snapshot plus the ``stream.close`` terminator.
 
-        Idempotent, and safe to call from a SIGTERM handler: whatever
-        state is current gets flushed in complete lines.
+        Idempotent.
         """
         if self._closed:
             return
@@ -275,21 +276,47 @@ class TelemetrySnapshotter:
         closing = self._envelope("stream.close", now)
         closing["status"] = status
         closing["events"] = self._seq
-        self._write([_ENCODER.encode(closing)])
+        self.sink([closing])
         self._closed = True
-        fd = self._fd
-        if fd is not None:
-            self._fd = None
+
+
+class StreamWriter:
+    """The run's one telemetry stream, appended by the pipeline parent
+    with every shard's snapshots, whichever process scanned it."""
+
+    def __init__(self, path: Path | str) -> None:
+        self.path = Path(path)
+        #: shard id -> the next ``seq`` of its latest attempt.
+        self._next_seq: dict[int, int] = {}
+
+    def write(self, events: list[dict[str, Any]]) -> None:
+        for event in events:
+            self._next_seq[event["shard"]] = event["seq"] + 1
+        data = "".join(_ENCODER.encode(event) + "\n" for event in events)
+        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+        try:
+            # One write() of complete lines: readers see all of them or
+            # none — never a torn line, even if we die right after.
+            os.write(fd, data.encode())
+        finally:
             os.close(fd)
 
-    def _write(self, lines: list[str]) -> None:
-        if not lines:
-            return
-        fd = self._fd if self._fd is not None else self._open_file()
-        # One write() of complete lines: readers see all of them or
-        # none — never a torn line, even if we die right after.
-        os.write(fd, ("\n".join(lines) + "\n").encode())
-        self.events_written += len(lines)
+    def close_shard(self, shard_id: int, status: str) -> None:
+        """End *shard_id*'s latest attempt with a ``stream.close``,
+        opening one first if the shard never streamed in this run."""
+        now = time.time()
+        events = []
+        seq = self._next_seq.get(shard_id)
+        if seq is None:
+            opening = _envelope("stream.open", shard_id, 0, now, None)
+            opening["pid"] = os.getpid()
+            events.append(opening)
+            seq = 1
+        closing = _envelope("stream.close", shard_id, seq, now, None)
+        closing["status"] = status
+        closing["events"] = seq + 1
+        events.append(closing)
+        self.write(events)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +344,8 @@ def validate_stream_events(events: list[dict[str, Any]]) -> None:
         seq = event.get("seq")
         if not isinstance(seq, int):
             fail(index, "missing seq")
-        if shard in last_seq and seq <= last_seq[shard]:
+        # seq rises within an attempt; a new attempt restarts it.
+        if event["kind"] != "stream.open" and seq <= last_seq.get(shard, -1):
             fail(index, f"seq {seq} not monotonic for shard {shard}")
         last_seq[shard] = seq
         if not isinstance(event.get("t_wall"), (int, float)):
@@ -325,35 +353,25 @@ def validate_stream_events(events: list[dict[str, Any]]) -> None:
 
 
 class StreamReader:
-    """Incremental reader of one shard's telemetry stream.
+    """Incremental reader of one telemetry stream file.
 
     ``poll()`` returns the complete events appended since the previous
     call.  A partial (torn) final line is left unconsumed until its
     newline arrives; a line that fails to parse is counted in
-    ``invalid_lines`` and skipped; a file that *shrank* (a re-executed
-    shard truncated it) rewinds the reader to the start.
+    ``invalid_lines`` and skipped.
     """
 
     def __init__(self, path: Path | str) -> None:
         self.path = Path(path)
         self.offset = 0
         self.invalid_lines = 0
-        self.closed = False
-        self.last_event_wall: float | None = None
 
     def poll(self) -> list[dict[str, Any]]:
         try:
             with self.path.open("rb") as handle:
-                size = handle.seek(0, os.SEEK_END)
-                if size < self.offset:
-                    # Shard re-execution truncated the stream: rewind.
-                    self.offset = 0
-                    self.closed = False
                 handle.seek(self.offset)
                 chunk = handle.read()
         except OSError:
-            return []
-        if not chunk:
             return []
         # Only consume through the last complete line; a torn tail
         # stays on disk until its newline lands.
@@ -366,89 +384,46 @@ class StreamReader:
             if not raw.strip():
                 continue
             try:
-                event = json.loads(raw)
+                events.append(json.loads(raw))
             except ValueError:
                 self.invalid_lines += 1
-                continue
-            events.append(event)
-            wall = event.get("t_wall")
-            if isinstance(wall, (int, float)):
-                self.last_event_wall = wall
-            if event.get("kind") == "stream.close":
-                self.closed = True
         return events
 
 
-def merge_events(events: list[dict[str, Any]]) -> list[dict[str, Any]]:
-    """Order a batch of multi-shard events by ``(t_wall, shard, seq)``."""
-    return sorted(
-        events,
-        key=lambda e: (
-            e.get("t_wall", 0.0),
-            e.get("shard", -1),
-            e.get("seq", -1),
-        ),
-    )
-
-
 class RunStream:
-    """Merged view over every shard stream of one run directory."""
-
-    GLOB = "telemetry-stream-*.ndjson"
+    """The telemetry stream of one run directory."""
 
     def __init__(self, run_dir: Path | str) -> None:
         self.run_dir = Path(run_dir)
-        self.readers: dict[Path, StreamReader] = {}
-        self._expected_shards: int | None = None
-
-    def _discover(self) -> None:
-        for path in sorted(self.run_dir.glob(self.GLOB)):
-            if path not in self.readers:
-                self.readers[path] = StreamReader(path)
+        self._reader = StreamReader(self.run_dir / STREAM_FILE)
+        #: shard id -> whether its latest attempt has closed.
+        self._closed: dict[int, bool] = {}
 
     def poll(self) -> list[dict[str, Any]]:
-        """New events across every shard, merged by ``(t_wall, shard,
-        seq)``.  Late-appearing shard files are picked up on the fly."""
-        self._discover()
-        batch: list[dict[str, Any]] = []
-        for reader in self.readers.values():
-            batch.extend(reader.poll())
-        return merge_events(batch)
-
-    def _expected(self) -> int | None:
-        """Shard count promised by the run's manifest, if readable."""
-        if self._expected_shards is None:
-            try:
-                with open(self.run_dir / "manifest.json") as handle:
-                    manifest = json.load(handle)
-                self._expected_shards = int(manifest["spec"]["shards"])
-            except (OSError, ValueError, KeyError, TypeError):
-                return None
-        return self._expected_shards
+        """New events, in the order the parent appended them."""
+        events = self._reader.poll()
+        for event in events:
+            kind = event.get("kind")
+            if kind == "stream.open":
+                self._closed[event.get("shard")] = False
+            elif kind == "stream.close":
+                self._closed[event.get("shard")] = True
+        return events
 
     def finished(self) -> bool:
-        """Whether no further stream events can arrive.
-
-        True once the run's ``results.json`` exists (the pipeline is
-        past the scan stage) or every stream the manifest promises has
-        appeared and seen its ``stream.close`` terminator.  A stream
-        that closed early proves nothing about shards that have not
-        opened theirs yet, so the manifest's shard count gates the
-        all-closed path.
-        """
+        """Whether no further stream events can arrive: the run's
+        ``results.json`` exists, or every shard the manifest promises
+        has closed its latest attempt in the events polled so far.  A
+        killed attempt never closes; the parent closes a shard that is
+        out of attempts just before the run fails as partial."""
         if (self.run_dir / "results.json").exists():
             return True
-        self._discover()
-        if not self.readers:
+        try:
+            with open(self.run_dir / "manifest.json") as handle:
+                shards = int(json.load(handle)["spec"]["shards"])
+        except (OSError, ValueError, KeyError, TypeError):
             return False
-        if not all(reader.closed for reader in self.readers.values()):
-            return False
-        expected = self._expected()
-        return expected is None or len(self.readers) >= expected
-
-    @property
-    def invalid_lines(self) -> int:
-        return sum(r.invalid_lines for r in self.readers.values())
+        return all(self._closed.get(shard, False) for shard in range(shards))
 
 
 # ---------------------------------------------------------------------------
@@ -504,24 +479,23 @@ class ShardView:
 
 
 class RunHealth:
-    """Fold a merged event stream into derived run-level state.
+    """Fold a run's event stream into derived run-level state.
 
     Feed every event through :meth:`absorb`; read per-shard views from
     ``shards``, run totals from :meth:`totals`, and the Prometheus
     surface from :meth:`registry` (the accumulated metric deltas plus
-    ``watch_*`` meta-gauges).
+    ``watch_*`` meta-gauges).  A shard's ``stream.open`` starts a new
+    attempt: the view and metrics of its earlier attempt are dropped,
+    so a re-executed shard is counted once.
     """
 
     def __init__(self) -> None:
         self.shards: dict[int, ShardView] = {}
         self.events_absorbed = 0
-        #: accumulated penetration deltas per ASN (top-mover source).
-        self.asn_penetrations: dict[str, int] = {}
-        #: accumulated drop deltas per reason.
-        self.drop_reasons: dict[str, int] = {}
         #: most recent (wall, reason, asn, delta) drop observations.
         self.recent_drops: deque = deque(maxlen=16)
-        self._registry = MetricsRegistry()
+        #: shard id -> the metric deltas of its latest attempt, folded.
+        self._registries: dict[int, MetricsRegistry] = {}
 
     # -- ingestion -------------------------------------------------------
 
@@ -530,82 +504,60 @@ class RunHealth:
         shard = event.get("shard")
         if not isinstance(shard, int):
             return
+        kind = event.get("kind")
+        if kind == "stream.open":
+            self.shards[shard] = ShardView(
+                shard, status="running", pid=event.get("pid"),
+                last_wall=event.get("t_wall"),
+            )
+            self._registries[shard] = MetricsRegistry()
+            return
         view = self.shards.get(shard)
         if view is None:
             view = self.shards[shard] = ShardView(shard)
-        kind = event.get("kind")
         if kind == "shard.health":
             view.absorb_health(event)
         elif kind == "metrics.delta":
-            self._absorb_deltas(event)
+            deltas = event.get("deltas", [])
+            registry = self._registries.setdefault(shard, MetricsRegistry())
+            registry.merge_payload(
+                {"schema_version": METRICS_SCHEMA_VERSION, "metrics": deltas}
+            )
             wall = event.get("t_wall")
+            for family in deltas:
+                if family.get("name") != "fabric_drops_total":
+                    continue
+                for labels, delta in family.get("samples", ()):
+                    reason = labels[0] if labels else "?"
+                    asn = labels[1] if len(labels) > 1 else "?"
+                    self.recent_drops.append((wall, reason, asn, delta))
             if isinstance(wall, (int, float)):
                 view.last_wall = wall
-        elif kind == "stream.open":
-            if view.status == "waiting":
-                view.status = "running"
-            view.pid = event.get("pid", view.pid)
-            view.last_wall = event.get("t_wall", view.last_wall)
         elif kind == "stream.close":
             view.status = event.get("status", "complete")
             view.last_wall = event.get("t_wall", view.last_wall)
 
-    def _absorb_deltas(self, event: dict[str, Any]) -> None:
-        wall = event.get("t_wall", 0.0)
-        for family in event.get("deltas", ()):
-            name = family.get("name")
-            kind = family.get("kind")
-            samples = family.get("samples", ())
-            label_names = tuple(family.get("label_names", ()))
-            deterministic = bool(family.get("deterministic", True))
-            if kind == "counter":
-                metric = self._registry.counter(
-                    name, "", label_names, deterministic=deterministic
-                )
-                for labels, delta in samples:
-                    metric.inc(delta, tuple(labels))
-            elif kind == "gauge":
-                metric = self._registry.gauge(
-                    name, "", label_names, deterministic=deterministic
-                )
-                for labels, value in samples:
-                    metric.set_max(value, tuple(labels))
-            elif kind == "histogram":
-                metric = self._registry.histogram(
-                    name, "", label_names,
-                    buckets=tuple(family.get("buckets", ())),
-                    deterministic=deterministic,
-                )
-                for labels, cells in samples:
-                    key = tuple(labels)
-                    mine = metric._values.get(key)
-                    if mine is None:
-                        metric._values[key] = {
-                            "counts": list(cells["counts"]),
-                            "sum": cells["sum"],
-                            "count": cells["count"],
-                        }
-                    else:
-                        mine["counts"] = [
-                            a + b
-                            for a, b in zip(mine["counts"], cells["counts"])
-                        ]
-                        mine["sum"] += cells["sum"]
-                        mine["count"] += cells["count"]
-            if name == "scan_penetrations_by_asn_total":
-                for labels, delta in samples:
-                    asn = labels[0] if labels else "?"
-                    self.asn_penetrations[asn] = (
-                        self.asn_penetrations.get(asn, 0) + delta
-                    )
-            elif name == "fabric_drops_total":
-                for labels, delta in samples:
-                    reason = labels[0] if labels else "?"
-                    asn = labels[1] if len(labels) > 1 else "?"
-                    self.drop_reasons[reason] = (
-                        self.drop_reasons.get(reason, 0) + delta
-                    )
-                    self.recent_drops.append((wall, reason, asn, delta))
+    def _by_first_label(self, name: str) -> dict[str, int]:
+        """Metric *name* summed across shards, keyed by its first label."""
+        totals: dict[str, int] = {}
+        for registry in self._registries.values():
+            metric = registry.get(name)
+            if metric is None:
+                continue
+            for labels, value in metric.samples():
+                key = labels[0] if labels else "?"
+                totals[key] = totals.get(key, 0) + value
+        return totals
+
+    @property
+    def asn_penetrations(self) -> dict[str, int]:
+        """Penetrations per ASN (the top-mover source)."""
+        return self._by_first_label("scan_penetrations_by_asn_total")
+
+    @property
+    def drop_reasons(self) -> dict[str, int]:
+        """Fabric drops per reason."""
+        return self._by_first_label("fabric_drops_total")
 
     # -- derived state ---------------------------------------------------
 
@@ -661,7 +613,9 @@ class RunHealth:
         :func:`repro.obs.export.to_prometheus` is the run's live
         ``/metrics`` surface.
         """
-        registry = self._registry
+        registry = MetricsRegistry()
+        for shard in sorted(self._registries):
+            registry.merge(self._registries[shard])
         totals = self.totals()
         registry.gauge(
             "watch_shards_total", "shard streams discovered"

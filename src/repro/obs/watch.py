@@ -1,13 +1,13 @@
-"""``repro watch``: a live dashboard over a run's telemetry streams.
+"""``repro watch``: a live dashboard over a run's telemetry stream.
 
-Three consumers, one merge layer (:mod:`repro.obs.stream`):
+Three consumers, one stream reader (:mod:`repro.obs.stream`):
 
 * **TTY dashboard** — per-shard rows (status, pid, probes, rate, retry
   and fault counters, queue depth, open span), run totals with ETA and
   a running penetration-rate estimate, per-ASN top movers and recent
   drop reasons.  Redraws in place on a terminal, degrades to periodic
   plain blocks when piped.
-* **``--json``** — the merged event stream itself, one event per
+* **``--json``** — the run's event stream itself, one event per
   line on stdout, for machine consumers (and for replaying a finished
   run).
 * **``--prom-textfile PATH``** — continuously rewrites a Prometheus
@@ -15,8 +15,9 @@ Three consumers, one merge layer (:mod:`repro.obs.stream`):
   gauges: the exact surface a campaign-as-a-service daemon will serve
   from ``/metrics``.
 
-Watching is read-only: it opens the stream files and ``results.json``
-and touches nothing else, so it is always safe against a live run.
+Watching is read-only: it opens the stream file, ``manifest.json`` and
+``results.json`` and touches nothing else, so it is always safe against
+a live run.
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ def run_watch(
     out=None,
     err=None,
 ) -> int:
-    """Tail *run_dir*'s telemetry streams until the run finishes.
+    """Tail *run_dir*'s telemetry stream until the run finishes.
 
     Returns a process exit code: ``0`` on a completed (or ``--once``)
     watch, ``2`` when *timeout* wall seconds pass without a single

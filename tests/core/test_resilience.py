@@ -9,6 +9,7 @@ expensive baselines run once per module and are shared read-only.
 import io
 import json
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -30,6 +31,8 @@ from repro.netsim.faults import (
     ShardCrash,
 )
 from repro.obs.progress import ProgressReporter
+from repro.obs.stream import RunStream, validate_stream_events
+from repro.obs.watch import run_watch
 from repro.scenarios import MEASUREMENT_ASN
 
 SEED = 7
@@ -322,10 +325,15 @@ def test_slow_spawned_start_up_is_not_reaped(tmp_path, monkeypatch):
 def test_exhausted_shard_raises_partial_and_resumes(baseline, tmp_path):
     """A shard that crashes on every allowed attempt fails the run with
     exit-code-3 semantics and persisted survivor artifacts; a resume
-    (the crash clause now spent) completes only the dead shard."""
+    (the crash clause now spent) completes only the dead shard.  The
+    parent closes the dead shard's stream, so a watcher of the failed
+    run ends, and the resume appends the shard's completing attempt."""
     run_dir = tmp_path / "run"
-    spec = crash_spec(
-        ShardCrash(shard=2, after_probes=50, times=3, mode="raise")
+    spec = replace(
+        crash_spec(
+            ShardCrash(shard=2, after_probes=50, times=3, mode="raise")
+        ),
+        stream=True,
     )
     with pytest.raises(PartialScanError) as excinfo:
         run_pipeline(spec, run_dir=run_dir, workers=0)
@@ -336,7 +344,22 @@ def test_exhausted_shard_raises_partial_and_resumes(baseline, tmp_path):
     assert persisted == {
         "shard-000.json", "shard-001.json", "shard-003.json"
     }
+    stream = RunStream(run_dir)
+    events = stream.poll()
+    assert stream.finished()
+    last = [e for e in events if e["shard"] == 2][-1]
+    assert last["kind"] == "stream.close"
+    assert last["status"].startswith("failed: ")
+    assert run_watch(
+        run_dir, json_mode=True, interval=0.01, out=io.StringIO()
+    ) == 0
 
     outcome = resume_pipeline(run_dir, workers=0)
     assert outcome.scan_stats == {0: 0, 1: 0, 2: 1, 3: 0}
     assert minus_provenance(outcome.results) == minus_provenance(baseline)
+    events = RunStream(run_dir).poll()
+    validate_stream_events(events)
+    shard_2 = [e for e in events if e["shard"] == 2]
+    assert [e["kind"] for e in shard_2].count("stream.open") == 4
+    assert shard_2[-1]["kind"] == "stream.close"
+    assert shard_2[-1]["status"] == "complete"

@@ -1,8 +1,8 @@
-"""Tests for the live telemetry stream: writer, reader, merge, health."""
+"""Tests for the live telemetry stream: writer, reader, health."""
 
+import io
 import json
 import os
-import signal
 import subprocess
 import sys
 import textwrap
@@ -16,13 +16,17 @@ from repro.core.scanner import ScanConfig
 from repro.netsim.faults import FaultPlan
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.stream import (
+    STREAM_FILE,
     RunHealth,
     RunStream,
     StreamReader,
+    StreamWriter,
     TelemetrySnapshotter,
-    merge_events,
     validate_stream_events,
 )
+from repro.obs.watch import run_watch
+
+SRC = str(Path(__file__).parents[2] / "src")
 
 
 def read_events(path):
@@ -39,8 +43,10 @@ def read_events(path):
 
 
 def test_snapshotter_envelope_and_lifecycle(tmp_path):
-    path = tmp_path / "telemetry-stream-003.ndjson"
-    snapshotter = TelemetrySnapshotter(path, shard_id=3, interval=100.0)
+    path = tmp_path / STREAM_FILE
+    snapshotter = TelemetrySnapshotter(
+        StreamWriter(path).write, shard_id=3, interval=100.0
+    )
     for _ in range(5):
         snapshotter.tick()
     snapshotter.close()
@@ -61,7 +67,9 @@ def test_snapshotter_envelope_and_lifecycle(tmp_path):
 
 def test_snapshotter_close_is_idempotent(tmp_path):
     path = tmp_path / "s.ndjson"
-    snapshotter = TelemetrySnapshotter(path, interval=0.001)
+    snapshotter = TelemetrySnapshotter(
+        StreamWriter(path).write, interval=0.001
+    )
     snapshotter.tick()
     snapshotter.close()
     first = path.read_text()
@@ -72,7 +80,9 @@ def test_snapshotter_close_is_idempotent(tmp_path):
 
 def test_snapshotter_rejects_bad_interval(tmp_path):
     with pytest.raises(ValueError, match="interval"):
-        TelemetrySnapshotter(tmp_path / "s.ndjson", interval=0.0)
+        TelemetrySnapshotter(
+            StreamWriter(tmp_path / "s.ndjson").write, interval=0.0
+        )
 
 
 def test_metric_deltas_sum_to_final_registry(tmp_path):
@@ -81,7 +91,9 @@ def test_metric_deltas_sum_to_final_registry(tmp_path):
     gauge = registry.gauge("g_peak")
     hist = registry.histogram("h_seconds", "h", buckets=(1.0, 10.0))
     snapshotter = TelemetrySnapshotter(
-        tmp_path / "s.ndjson", interval=100.0, registry=registry
+        StreamWriter(tmp_path / "s.ndjson").write,
+        interval=100.0,
+        registry=registry,
     )
     for round_no in range(1, 4):
         counter.inc(round_no, ("a",))
@@ -108,7 +120,9 @@ def test_unchanged_metrics_emit_no_delta(tmp_path):
     registry = MetricsRegistry()
     counter = registry.counter("c_total")
     snapshotter = TelemetrySnapshotter(
-        tmp_path / "s.ndjson", interval=100.0, registry=registry
+        StreamWriter(tmp_path / "s.ndjson").write,
+        interval=100.0,
+        registry=registry,
     )
     counter.inc(5)
     snapshotter.snapshot(force=True)
@@ -162,39 +176,8 @@ def test_reader_skips_garbage_lines(tmp_path):
     assert reader.invalid_lines == 1
 
 
-def test_reader_rewinds_on_truncation(tmp_path):
-    path = tmp_path / "s.ndjson"
-
-    def line(seq):
-        return json.dumps(
-            {"v": 1, "kind": "shard.health", "shard": 0, "seq": seq,
-             "t_wall": float(seq)}
-        ) + "\n"
-
-    path.write_text(line(0) + line(1) + line(2))
-    reader = StreamReader(path)
-    assert len(reader.poll()) == 3
-    # A re-executed shard truncates and starts over.
-    path.write_text(line(0))
-    events = reader.poll()
-    assert [e["seq"] for e in events] == [0]
-
-
 def test_reader_missing_file_is_empty(tmp_path):
     assert StreamReader(tmp_path / "absent.ndjson").poll() == []
-
-
-def test_merge_orders_by_wall_then_shard_then_seq():
-    events = [
-        {"t_wall": 2.0, "shard": 0, "seq": 5},
-        {"t_wall": 1.0, "shard": 1, "seq": 0},
-        {"t_wall": 1.0, "shard": 0, "seq": 1},
-        {"t_wall": 1.0, "shard": 0, "seq": 0},
-    ]
-    merged = merge_events(events)
-    assert [(e["t_wall"], e["shard"], e["seq"]) for e in merged] == [
-        (1.0, 0, 0), (1.0, 0, 1), (1.0, 1, 0), (2.0, 0, 5),
-    ]
 
 
 def test_validate_rejects_non_monotonic_seq():
@@ -206,6 +189,55 @@ def test_validate_rejects_non_monotonic_seq():
     ]
     with pytest.raises(ValueError, match="not monotonic"):
         validate_stream_events(events)
+
+
+def test_run_health_counts_only_the_latest_attempt():
+    """A re-executed shard's stream.open supersedes what its killed
+    attempt reported, so nothing is counted twice."""
+
+    def attempt(sent, asn):
+        def counter(name, label_names, labels, value):
+            return {"name": name, "kind": "counter",
+                    "label_names": label_names, "deterministic": True,
+                    "samples": [[labels, value]]}
+
+        return [
+            {"kind": "stream.open", "seq": 0, "pid": 7},
+            {"kind": "shard.health", "seq": 1, "planned": 100,
+             "sent": sent, "penetrations": sent // 10},
+            {"kind": "metrics.delta", "seq": 2, "deltas": [
+                counter("scan_penetrations_by_asn_total", ["asn"],
+                        [asn], sent // 10),
+                counter("scan_probes_sent_total", [], [], sent),
+            ]},
+        ]
+
+    closing = {"kind": "stream.close", "seq": 3, "status": "complete"}
+    events = [
+        dict(event, v=1, shard=1, t_wall=float(wall))
+        for wall, event in enumerate(
+            attempt(60, "64500") + attempt(40, "64501") + [closing]
+        )
+    ]
+    validate_stream_events(events)  # seq restarts at the stream.open
+    health = RunHealth()
+    for event in events[:4]:  # the killed attempt, then the new open
+        health.absorb(event)
+    assert health.totals()["sent"] == 0
+    assert "scan_probes_sent_total" not in health.registry()
+    for event in events[4:]:
+        health.absorb(event)
+    totals = health.totals()
+    assert (totals["shards"], totals["sent"], totals["penetrations"]) == (
+        1, 40, 4,
+    )
+    assert health.shards[1].status == "complete"
+    registry = health.registry()
+    assert registry.get("scan_probes_sent_total").value() == 40
+    assert registry.get("scan_penetrations_by_asn_total").samples() == [
+        (("64501",), 4)
+    ]
+    assert health.top_movers() == [("64501", 4)]
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +314,14 @@ def test_n_shard_stream_matches_single_shard(tmp_path):
     one = accumulated_deterministic_deltas(tmp_path / "one")
     three = accumulated_deterministic_deltas(tmp_path / "three")
     assert one == three
-    # Every shard produced a stream that opens and closes cleanly.
+    # Every shard's stream opens and closes cleanly, in the run's one
+    # stream file.
+    files = (tmp_path / "three").glob("telemetry-stream*")
+    assert [path.name for path in files] == [STREAM_FILE]
+    all_events = read_events(tmp_path / "three" / STREAM_FILE)
+    validate_stream_events(all_events)
     for shard in range(3):
-        events = read_events(
-            tmp_path / "three" / f"telemetry-stream-{shard:03d}.ndjson"
-        )
-        validate_stream_events(events)
+        events = [e for e in all_events if e["shard"] == shard]
         assert events[0]["kind"] == "stream.open"
         assert events[-1]["kind"] == "stream.close"
 
@@ -297,35 +331,89 @@ BURST_LOSS = (
 )
 
 
+#: Kill shard 1's forked worker once, after its 200th probe.
+CRASH_SHARD_1 = {
+    "kind": "shard-crash", "shard": 1, "after_probes": 200, "mode": "kill",
+}
+
+
 def test_streaming_never_changes_results(tmp_path):
-    """A faulted, retried 4-shard campaign in forked workers: results
-    are the same with streams on or off, and each worker's stream is
-    complete down to its final probe count."""
-    faulted = dict(
-        shards=4,
-        interval=0.05,
-        workers=2,
-        faults=FaultPlan.load(BURST_LOSS).to_payload(),
+    """A faulted, retried 4-shard campaign in forked workers, whose
+    shard 1 is killed once: `watch` follows the streamed run live to
+    its end, reading the re-executed shard once, and the results equal
+    those of the same run with streaming off."""
+    plan = FaultPlan.load(BURST_LOSS).to_payload()
+    plan["clauses"].append(CRASH_SHARD_1)
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan))
+    run_dir = tmp_path / "on"
+    results_path = tmp_path / "on.json"
+    scan = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "scan", "--seed", "11",
+         "--n-ases", "30", "--duration", "45", "--retries", "3",
+         "--shards", "4", "--workers", "2", "--faults", str(plan_path),
+         "--snapshots", "--snapshot-interval", "0.05", "--quiet",
+         "--run-dir", str(run_dir), "--json", str(results_path)],
+        stdout=subprocess.DEVNULL,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not (run_dir / "manifest.json").exists():
+            assert scan.poll() is None, "scan exited before its manifest"
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        followed = io.StringIO()
+        assert run_watch(
+            run_dir, json_mode=True, interval=0.02, timeout=60,
+            out=followed,
+        ) == 0
+        assert scan.wait(timeout=120) == 0
+    finally:
+        if scan.poll() is None:
+            scan.kill()
+            scan.wait()
+    events = [json.loads(line) for line in followed.getvalue().splitlines()]
+    assert events == RunStream(run_dir).poll()
+    validate_stream_events(events)
+    assert [p.name for p in run_dir.glob("telemetry-stream*")] == [
+        STREAM_FILE
+    ]
+    results = json.loads(results_path.read_text())
+    health = RunHealth()
+    for event in events:
+        health.absorb(event)
+    assert (
+        health.registry().get("scan_probes_sent_total").value()
+        == results["provenance"]["probes_sent"]
+    )
+    opens = [e["shard"] for e in events if e["kind"] == "stream.open"]
+    assert sorted(opens) == [0, 1, 1, 2, 3]
+    for shard in range(4):
+        mine = [e for e in events if e["shard"] == shard]
+        starts = [i for i, e in enumerate(mine) if e["kind"] == "stream.open"]
+        latest = mine[starts[-1]:]
+        assert latest[-1]["kind"] == "stream.close"
+        assert latest[-1]["status"] == "complete"
+        health_events = [e for e in latest if e["kind"] == "shard.health"]
+        assert {"shard.health", "metrics.delta"} <= {
+            e["kind"] for e in latest
+        }
+        artifact = json.loads(
+            (run_dir / f"shard-{shard:03d}.json").read_text()
+        )
+        assert (
+            health_events[-1]["sent"] == artifact["metadata"]["probes_sent"]
+        )
+
+    off = run_streamed(
+        tmp_path, "off", stream=False, shards=4, workers=2, faults=plan,
         retries=3,
     )
-    on = run_streamed(tmp_path, "on", **faulted)
-    off = run_streamed(tmp_path, "off", stream=False, **faulted)
-    assert minus_provenance(on.results) == minus_provenance(off.results)
-    assert not list((tmp_path / "off").glob("telemetry-stream-*"))
-    for shard in range(4):
-        events = read_events(
-            tmp_path / "on" / f"telemetry-stream-{shard:03d}.ndjson"
-        )
-        validate_stream_events(events)
-        kinds = {event["kind"] for event in events}
-        assert events[0]["kind"] == "stream.open"
-        assert {"shard.health", "metrics.delta"} <= kinds
-        assert events[-1]["kind"] == "stream.close"
-        health = [e for e in events if e["kind"] == "shard.health"]
-        artifact = json.loads(
-            (tmp_path / "on" / f"shard-{shard:03d}.json").read_text()
-        )
-        assert health[-1]["sent"] == artifact["metadata"]["probes_sent"]
+    assert not list((tmp_path / "off").glob("telemetry-stream*"))
+    assert minus_provenance(results) == minus_provenance(
+        json.loads(json.dumps(off.results))
+    )
 
 
 def test_stream_requires_run_dir():
@@ -356,12 +444,13 @@ _KILLED_WRITER = textwrap.dedent(
     import os, sys, time
     sys.path.insert(0, {src!r})
     from repro.obs.metrics import MetricsRegistry
-    from repro.obs.stream import TelemetrySnapshotter
+    from repro.obs.stream import StreamWriter, TelemetrySnapshotter
 
     registry = MetricsRegistry()
     counter = registry.counter("c_total")
     snap = TelemetrySnapshotter(
-        {path!r}, shard_id=0, interval=0.0001, registry=registry
+        StreamWriter({path!r}).write, shard_id=0, interval=0.0001,
+        registry=registry,
     )
     print("ready", flush=True)
     while True:
@@ -373,13 +462,10 @@ _KILLED_WRITER = textwrap.dedent(
 
 def test_sigkilled_shard_stream_ends_on_valid_line(tmp_path):
     """A SIGKILL mid-write must never leave a torn final line."""
-    path = tmp_path / "telemetry-stream-000.ndjson"
-    src = str(
-        (os.path.dirname(__file__)) + "/../../src"
-    )
+    path = tmp_path / STREAM_FILE
     proc = subprocess.Popen(
         [sys.executable, "-c",
-         _KILLED_WRITER.format(src=src, path=str(path))],
+         _KILLED_WRITER.format(src=SRC, path=str(path))],
         stdout=subprocess.PIPE,
     )
     try:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -182,11 +183,38 @@ def test_scan_journal_requires_run_dir(capsys):
             ["--shards", "2", "--workers", "2", "--hang-timeout", "0.5"],
             id="hang-timeout-floor",
         ),
+        pytest.param(["--duration", "nan"], id="duration-nan"),
+        pytest.param(["--duration", "inf"], id="duration-inf"),
+        pytest.param(
+            ["--snapshots", "--snapshot-interval", "nan"],
+            id="snapshot-interval-nan",
+        ),
+        pytest.param(
+            ["--snapshots", "--snapshot-interval", "inf"],
+            id="snapshot-interval-inf",
+        ),
+        pytest.param(
+            ["--shards", "2", "--workers", "2", "--hang-timeout", "nan"],
+            id="hang-timeout-nan",
+        ),
+        pytest.param(
+            ["--shards", "2", "--workers", "2", "--hang-timeout", "inf"],
+            id="hang-timeout-inf",
+        ),
+        # FILE stands for an existing regular file.
+        pytest.param(["--run-dir", "FILE"], id="run-dir-file"),
+        pytest.param(["--resume", "FILE"], id="resume-file"),
+        pytest.param(["--scenario-cache", "FILE"], id="scenario-cache-file"),
+        pytest.param(["--ledger", "FILE"], id="ledger-file"),
     ],
 )
 def test_scan_bad_input_exits_two_with_one_line(capsys, tmp_path, flags):
     run_dir = tmp_path / "run"
-    assert main(["scan", *flags, "--run-dir", str(run_dir)]) == 2
+    regular_file = tmp_path / "file"
+    regular_file.write_text("not a directory\n")
+    flags = [str(regular_file) if flag == "FILE" else flag for flag in flags]
+    # --run-dir comes first, so a --run-dir in *flags* overrides it.
+    assert main(["scan", "--run-dir", str(run_dir), *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert len(err.splitlines()) == 1
@@ -206,6 +234,16 @@ STAR_JOURNAL_PIN = (
 )
 
 
+#: sha256 of a tiered-topology run under the BGP-dynamics fault plan
+#: (withdrawal, hijack, stuck route), results minus provenance, at seed
+#: 2019, 40 ASes, 40 simulated seconds: the same at 1 and 4 shards.
+TIERED_PIN = "229ab9a264a74b01b4dc712cdf1fb1220149821cb8a5a9d6f96bdf5194d2af8d"
+
+BGP_DYNAMICS = (
+    Path(__file__).parents[1] / "examples" / "faultplans" / "bgp-dynamics.json"
+)
+
+
 def _star_results_digest(path, *flags):
     assert main(["scan", "--seed", "2019", "--n-ases", "40",
                  "--duration", "40", "--quiet", "--json", str(path),
@@ -219,6 +257,14 @@ def _star_results_digest(path, *flags):
 
 def test_star_topology_results_match_pin(tmp_path):
     assert _star_results_digest(tmp_path / "star.json") == STAR_PIN
+
+
+def test_tiered_bgp_dynamics_results_match_pin(tmp_path):
+    digest = _star_results_digest(
+        tmp_path / "tiered.json", "--topology", "tiered",
+        "--faults", str(BGP_DYNAMICS), "--shards", "4",
+    )
+    assert digest == TIERED_PIN
 
 
 def test_star_topology_journal_matches_pins(capsys, tmp_path):
