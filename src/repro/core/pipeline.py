@@ -1762,9 +1762,17 @@ def _run_scan_stage(
             stages_skipped.append(f"scan[{shard_id}]")
             if progress is not None:
                 meta = ScanMetadata.from_payload(artifact["metadata"])
+                # An observation with a category is a resolver that
+                # answered a spoofed probe: one penetration.
+                penetrations = sum(
+                    1 for observation
+                    in artifact["collection"]["observations"]
+                    if observation["categories"]
+                )
                 progress.update(
                     shard_id,
-                    dict(planned=meta.probes_scheduled, sent=meta.probes_sent),
+                    dict(planned=meta.probes_scheduled, sent=meta.probes_sent,
+                         penetrations=penetrations),
                     reused=True,
                 )
                 progress.shard_done()

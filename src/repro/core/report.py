@@ -267,23 +267,3 @@ def normalize_results(payload: dict) -> dict:
         provenance.setdefault(key, None)
     out["provenance"] = provenance
     return out
-
-
-def render_provenance(provenance: dict) -> str:
-    """One-line-per-key header of a run's identity provenance."""
-    def short(value) -> str:
-        if value is None:
-            return "-"
-        text = str(value)
-        return text[:12] + "…" if len(text) > 12 else text
-
-    return "\n".join(
-        [
-            f"scenario  {short(provenance.get('scenario_content_key'))}",
-            f"topology  {provenance.get('topology') or '-'}",
-            f"faults    {short(provenance.get('fault_plan_digest'))}",
-            f"seed      {provenance.get('seed')}  "
-            f"n_ases {provenance.get('n_ases')}  "
-            f"shards {provenance.get('shards')}",
-        ]
-    )

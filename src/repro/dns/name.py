@@ -22,10 +22,6 @@ class NameError_(ValueError):
     """A malformed domain name (bad label length, bad pointer, ...)."""
 
 
-def _casefold_label(label: bytes) -> bytes:
-    return label.lower()
-
-
 @functools.total_ordering
 class Name:
     """An absolute DNS domain name.
@@ -79,15 +75,6 @@ class Name:
         if any(not label for label in labels):
             raise NameError_(f"empty label in {text!r}")
         return cls(labels)
-
-    @classmethod
-    def from_labels(cls, *labels: str | bytes) -> "Name":
-        """Build a name from individual labels, most specific first."""
-        encoded = tuple(
-            label.encode("ascii") if isinstance(label, str) else label
-            for label in labels
-        )
-        return cls(encoded)
 
     # -- structure -------------------------------------------------------
 

@@ -266,11 +266,6 @@ def intern_address(address: Address) -> Address:
     return interned
 
 
-def clear_interned_addresses() -> None:
-    """Drop the intern table (mainly for long-lived test sessions)."""
-    _INTERNED.clear()
-
-
 def subnet_prefix_length(version: int) -> int:
     """Return the subnet carving granularity for an IP *version* (4 or 6)."""
     if version == 4:
@@ -389,13 +384,3 @@ def host_in_prefix(
     base = int(prefix.network_address)
     span = min(prefix.num_addresses - 2, offset_cap)
     return ip_address(base + 1 + rng.randrange(max(span, 1)))
-
-
-def reverse_pointer_name(address: Address) -> str:
-    """Return the in-addr.arpa / ip6.arpa name used for PTR lookups."""
-    return address.reverse_pointer
-
-
-def family_label(version: int) -> str:
-    """Return ``"IPv4"`` or ``"IPv6"`` for an IP *version* number."""
-    return f"IPv{version}"

@@ -301,8 +301,8 @@ class RoutingTable:
         """Reference longest-prefix match via the radix trie.
 
         Kept as the independent oracle the compiled view is checked
-        against (property tests) and as the baseline the pipeline
-        benchmark measures speedups from.
+        against (property tests) and as the baseline of the compiled-LPM
+        performance floor (``benchmarks/test_bench_floors.py``).
         """
         node: _TrieNode | None = self._roots[address.version]
         best: Announcement | None = None

@@ -148,11 +148,6 @@ class ASGraph:
     def stub_asns(self) -> list[int]:
         return sorted(a for a in self.tiers if self.is_stub(a))
 
-    def edge_count(self) -> int:
-        provider_edges = sum(len(v) for v in self.providers.values())
-        peer_edges = sum(len(v) for v in self.peers.values()) // 2
-        return provider_edges + peer_edges
-
     def digest(self) -> int:
         """Stable 64-bit fingerprint over every node and edge."""
         parts: list = [self.seed, self.spec.kind]

@@ -85,11 +85,17 @@ def render_dashboard(
         f"{'sent/planned':>17} {'rate':>9} {'pen':>5} "
         f"{'retx':>5} {'shed':>5} {'exh':>4} {'queue':>6}  span"
     )
+    causes = []
     for shard_id in sorted(health.shards):
         view = health.shards[shard_id]
         span_text = ">".join(view.spans) if view.spans else "-"
+        # A status with a cause ("failed: <cause>") shows its head in
+        # the column, and the whole status once below the table.
+        head, has_cause, _ = view.status.partition(":")
+        if has_cause:
+            causes.append(f"shard {view.shard:03d} {view.status}")
         lines.append(
-            f"{view.shard:>5} {view.status:<9} "
+            f"{view.shard:>5} {head:<9} "
             f"{view.pid if view.pid else '-':>7} "
             f"{view.sent:>9,}/{view.planned:<7,} "
             f"{_fmt_rate(view.rate):>9} {view.penetrations:>5,} "
@@ -97,6 +103,7 @@ def render_dashboard(
             f"{view.retries_exhausted:>4,} {view.queue_depth:>6,}  "
             f"{span_text}"
         )
+    lines.extend(causes)
     movers = health.top_movers()
     if movers:
         lines.append(

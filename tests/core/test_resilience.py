@@ -30,6 +30,7 @@ from repro.netsim.faults import (
     Reorder,
     ShardCrash,
 )
+from repro.obs.export import deterministic_counters
 from repro.obs.progress import ProgressReporter
 from repro.obs.stream import RunStream, validate_stream_events
 from repro.obs.watch import run_watch
@@ -50,7 +51,8 @@ BURST_PLAN = FaultPlan(
 
 
 def spec_for(
-    *, shards=1, retries=0, faults=None, journal=False, retry_budget=None
+    *, shards=1, retries=0, faults=None, journal=False, retry_budget=None,
+    metrics=False,
 ) -> CampaignSpec:
     return CampaignSpec.from_scan_config(
         seed=SEED,
@@ -61,6 +63,7 @@ def spec_for(
             max_retries=retries,
             retry_budget=retry_budget,
         ),
+        metrics=metrics,
         journal=journal,
         faults=faults.to_payload() if faults is not None else None,
     )
@@ -179,9 +182,10 @@ def test_zero_fault_plan_is_byte_identical_to_no_plan(baseline):
 
 
 def test_faulted_retried_run_is_shard_invariant(tmp_path):
-    """Byte-identical results.json *and* events.ndjson, 1 vs 4 shards,
-    under a plan composing loss, reordering, and duplication plus the
-    full retry machinery."""
+    """Byte-identical results.json *and* events.ndjson, and equal
+    deterministic telemetry counters, 1 vs 4 shards, under a plan
+    composing loss, reordering, and duplication plus the full retry
+    machinery."""
     plan = FaultPlan(
         seed=3,
         name="chaos",
@@ -194,8 +198,9 @@ def test_faulted_retried_run_is_shard_invariant(tmp_path):
     artifacts = {}
     for shards in (1, 4):
         run_dir = tmp_path / f"shards-{shards}"
-        run_pipeline(
-            spec_for(shards=shards, retries=3, faults=plan, journal=True),
+        outcome = run_pipeline(
+            spec_for(shards=shards, retries=3, faults=plan, journal=True,
+                     metrics=True),
             run_dir=run_dir,
             workers=0,
         )
@@ -204,9 +209,12 @@ def test_faulted_retried_run_is_shard_invariant(tmp_path):
         artifacts[shards] = (
             json.dumps(results, indent=2),
             (run_dir / "events.ndjson").read_bytes(),
+            deterministic_counters(outcome.telemetry),
         )
     assert artifacts[1][0] == artifacts[4][0]
     assert artifacts[1][1] == artifacts[4][1]
+    assert artifacts[1][2] == artifacts[4][2]
+    assert artifacts[1][2]["scan_probes_retransmitted_total"][0][1] > 0
 
 
 def test_faults_json_artifact_written(tmp_path):

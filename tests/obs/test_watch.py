@@ -5,7 +5,12 @@ import json
 
 from repro.core.pipeline import CampaignSpec, run_pipeline
 from repro.core.scanner import ScanConfig
-from repro.obs.stream import RunHealth, RunStream, validate_stream_events
+from repro.obs.stream import (
+    RunHealth,
+    RunStream,
+    StreamWriter,
+    validate_stream_events,
+)
 from repro.obs.watch import render_dashboard, run_watch
 
 import pytest
@@ -126,3 +131,35 @@ def test_render_dashboard_flags_stalled_shards():
         health, run_dir="x", now=101.0, stall_after=10.0
     )
     assert "STALLED" not in fresh
+
+
+def test_failed_shard_row_stays_aligned_and_cause_printed_once(tmp_path):
+    """A parent-written ``failed: <cause>`` close keeps the shard's row
+    under its headers; the cause is printed once, below the table."""
+    cause = "shard 1 worker died without a result (exitcode -9)"
+    writer = StreamWriter(tmp_path / "telemetry-stream.ndjson")
+    for shard in (0, 1):
+        writer.write([
+            {"v": 1, "kind": "stream.open", "shard": shard, "seq": 0,
+             "t_wall": 100.0, "t_sim": None, "pid": 4200 + shard},
+            {"v": 1, "kind": "shard.health", "shard": shard, "seq": 1,
+             "t_wall": 101.0, "t_sim": 5.0, "pid": 4200 + shard,
+             "planned": 300, "sent": 120, "status": "running"},
+        ])
+    writer.close_shard(1, f"failed: {cause}")
+    health = RunHealth()
+    for line in writer.path.read_text().splitlines():
+        health.absorb(json.loads(line))
+    assert health.shards[1].status == f"failed: {cause}"
+
+    text = render_dashboard(health, run_dir="x", now=102.0, finished=True)
+    lines = text.splitlines()
+    header = next(line for line in lines if line.startswith("shard status"))
+    row = next(line for line in lines if line.startswith("    1 "))
+    assert row.find("failed ") == header.index("status")
+    # A column wider than its header would push the last one, the span
+    # ("-" here), right of its header.
+    assert row.endswith("  -")
+    assert len(row) - 1 == header.index("span")
+    assert text.count(cause) == 1
+    assert f"shard 001 failed: {cause}" in lines

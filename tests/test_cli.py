@@ -268,11 +268,17 @@ def test_tiered_bgp_dynamics_results_match_pin(tmp_path):
 
 
 def test_star_topology_journal_matches_pins(capsys, tmp_path):
+    """Four forked shards give the 1-shard results pin and the journal
+    pin."""
     run_dir = tmp_path / "run"
     digest = _star_results_digest(
-        tmp_path / "star.json", "--journal", "--run-dir", str(run_dir)
+        tmp_path / "star.json", "--journal", "--run-dir", str(run_dir),
+        "--shards", "4",
     )
     assert digest == STAR_PIN
+    for shard in range(4):
+        artifact = json.loads((run_dir / f"shard-{shard:03d}.json").read_text())
+        assert artifact["timings"]["scenario_source"] == "inherited"
 
     events_path = run_dir / "events.ndjson"
     digest = hashlib.sha256(events_path.read_bytes()).hexdigest()
@@ -402,11 +408,17 @@ def test_scan_resume_accepts_matching_flags(capsys, tmp_path):
 
 def test_scan_resume_progress_counts_recorded_shards(capsys, tmp_path):
     """A resumed run's progress line counts shards against the spec
-    recorded in the run directory."""
+    recorded in the run directory, and credits the reused shard's
+    penetrations as well as its probes."""
     run_dir = tmp_path / "run"
+    out_json = tmp_path / "first.json"
     assert main(["scan", "--n-ases", "15", "--seed", "3",
                  "--duration", "40", "--shards", "2", "--workers", "0",
-                 "--quiet", "--run-dir", str(run_dir)]) == 0
+                 "--quiet", "--run-dir", str(run_dir),
+                 "--json", str(out_json)]) == 0
+    headline = json.loads(out_json.read_text())["headline"]
+    reached = sum(headline[family]["reachable_addresses"]
+                  for family in ("v4", "v6"))
     for name in ("shard-001.json", "observations.json", "results.json",
                  "report.txt"):
         (run_dir / name).unlink()
@@ -415,6 +427,7 @@ def test_scan_resume_progress_counts_recorded_shards(capsys, tmp_path):
     err = capsys.readouterr().err
     progress = [line for line in err.splitlines() if line.startswith("scan:")]
     assert "shards 2/2" in progress[-1]
+    assert f"penetrations {reached:,} " in progress[-1]
 
 
 def test_scan_resume_missing_dir_errors(capsys, tmp_path):
