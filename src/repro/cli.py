@@ -214,7 +214,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
         hang_timeout=args.hang_timeout,
         scenario_cache=args.scenario_cache,
         profile=args.profile,
-        snapshot_interval=args.snapshot_interval,
         ledger=args.ledger,
     )
     try:
@@ -787,8 +786,9 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument(
         "--hang-timeout", type=float, default=None, metavar="SECONDS",
         help="kill and re-execute a scan shard worker that sends no "
-        "progress report for this long, at least 2 (default: no hang "
-        "detection)",
+        "report for this long, at least 2 (default: no hang "
+        "detection; a fault plan with a hang-mode shard-crash clause "
+        "needs it)",
     )
     scan.add_argument(
         "--workers", type=int, default=None,
@@ -820,16 +820,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scan.add_argument(
         "--snapshots", action="store_true",
-        help="stream periodic telemetry snapshots (shard health + "
-        "metric deltas) of every shard to telemetry-stream.ndjson in "
+        help="stream every shard's telemetry snapshots (shard health "
+        "+ metric deltas, every 0.5 s) to telemetry-stream.ndjson in "
         "--run-dir; tail it live with `repro-dsav watch`.  Results are "
         "byte-identical with or without this flag",
-    )
-    scan.add_argument(
-        "--snapshot-interval", type=float, default=1.0,
-        metavar="SECONDS",
-        help="wall-clock seconds between telemetry snapshots "
-        "(default 1.0; only meaningful with --snapshots)",
     )
     scan.add_argument(
         "--ledger", default=None, metavar="DIR",
@@ -901,8 +895,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     watch.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
-        help="exit 2 if no stream events appear within SECONDS on a "
-        "run that is not finished",
+        help="exit 2 if SECONDS pass without a stream event on a run "
+        "that is not finished, counted from the last event (or from "
+        "the start); like --hang-timeout, it must cover a shard's "
+        "quiet phases (world build, the settle drain)",
     )
     watch.set_defaults(func=cmd_watch)
 

@@ -57,7 +57,6 @@ whose artifacts are missing.
 
 from __future__ import annotations
 
-import atexit
 import hashlib
 import heapq
 import json
@@ -98,8 +97,9 @@ STAGES = ("build", "scan", "collect", "analyze", "report")
 #: crashed or killed worker) before the run is declared partial.
 MAX_SHARD_ATTEMPTS = 3
 
-#: Wall seconds between a scan shard's progress reports.  A worker's
-#: reports are the parent's sign that it is alive.
+#: Seconds between a scan shard's reports (its telemetry snapshots),
+#: paced on the monotonic clock.  A worker's reports are the parent's
+#: sign that it is alive.
 _REPORT_INTERVAL = 0.5
 
 #: Smallest accepted hang timeout: four report intervals, so a worker
@@ -623,32 +623,23 @@ def _acquire_scenario(spec: CampaignSpec, payload: dict[str, Any]):
     return scenario, "built", time.perf_counter() - start
 
 
-def _on_probe(scanner, snapshotter, fuse, report):
+def _on_probe(scanner, snapshotter, fuse):
     """The one callback a shard's scanner makes per probe sent.
 
-    The snapshotter ticks before the crash fuse checks, so the stream
-    records a probe before a scripted crash fires on it.
+    The snapshotter ticks before the crash fuse checks, so the last
+    report records a probe before a scripted crash fires on it.
     """
-    last_report = float("-inf")
 
     def on_probe() -> None:
-        nonlocal last_report
         if snapshotter is not None:
             snapshotter.tick()
         if fuse is not None:
             fuse.check(scanner.probes_sent)
-        if report is not None:
-            now = time.monotonic()
-            if now - last_report >= _REPORT_INTERVAL:
-                last_report = now
-                report(scanner.progress_stats())
 
     return on_probe
 
 
-def run_scan_shard(
-    payload: dict[str, Any], report=None, stream=None
-) -> dict[str, Any]:
+def run_scan_shard(payload: dict[str, Any], report=None) -> dict[str, Any]:
     """Scan one shard of the target space; module-level for pickling.
 
     The shard acquires the synthetic Internet via
@@ -659,16 +650,15 @@ def run_scan_shard(
     globally computed value so probes are paced exactly as in the
     unsharded run.
 
-    ``report``, if given, receives ``{}`` as the shard starts, then the
-    scanner's :meth:`~repro.core.scanner.Scanner.progress_stats` once
-    it is built, at most every :data:`_REPORT_INTERVAL` seconds while
-    probes go out, and once more when the scan ends.  When the spec
-    streams, ``stream`` receives each telemetry snapshot of this
-    execution as one list of events, the first of them its
-    ``stream.open`` (see :class:`~repro.obs.stream.TelemetrySnapshotter`).
+    ``report``, if given, receives this execution's telemetry
+    snapshots, each as one list of events (see
+    :class:`~repro.obs.stream.TelemetrySnapshotter`): one as the shard
+    starts, whose ``stream.open`` opens the attempt, one once the
+    scanner is built, one every :data:`_REPORT_INTERVAL` seconds while
+    probes go out, and a final one after the scan, followed by the
+    attempt's ``stream.close``.  Only a streamed spec's snapshots carry
+    metric deltas.
     """
-    if report is not None:
-        report({})
     spec = CampaignSpec.from_payload(payload["spec"])
     shard_id = payload["shard_id"]
     run_dir = payload.get("run_dir")
@@ -681,34 +671,28 @@ def run_scan_shard(
         MetricsRegistry() if (spec.metrics or spec.stream) else None
     )
     recorder = SpanRecorder() if spec.metrics else None
+    snapshotter = None
+    if report is not None:
+        snapshotter = TelemetrySnapshotter(
+            report,
+            shard_id=shard_id,
+            interval=_REPORT_INTERVAL,
+            registry=registry if spec.stream else None,
+        )
+        snapshotter.snapshot(force=True)
     journal = None
     if spec.journal:
         from ..obs.journal import Journal
 
-        if run_dir is None:
-            raise ValueError("journaled scan shard requires a run directory")
         journal = Journal(
             shard_id=shard_id,
             path=Path(run_dir) / f"events-{shard_id:03d}.ndjson",
-        )
-    snapshotter = None
-    if spec.stream and stream is not None:
-        snapshotter = TelemetrySnapshotter(
-            stream,
-            shard_id=shard_id,
-            interval=payload.get("snapshot_interval", 1.0),
-            registry=registry,
         )
     fault_plan = spec.fault_plan()
     fuse = None
     if fault_plan is not None:
         crash_clauses = fault_plan.crash_clauses(shard_id)
         if crash_clauses:
-            if rd is None:
-                raise ValueError(
-                    "shard-crash fault clauses require a run directory "
-                    "(crash markers track spent firings)"
-                )
             fuse = _CrashFuse(
                 crash_clauses, rd, shard_id,
                 in_worker=bool(payload.get("in_worker")),
@@ -755,20 +739,13 @@ def run_scan_shard(
                     scanner.bind_journal(journal)
                 if snapshotter is not None:
                     snapshotter.attach(scanner)
-                if (
-                    report is not None
-                    or fuse is not None
-                    or snapshotter is not None
-                ):
+                    snapshotter.snapshot(force=True)
+                if fuse is not None or snapshotter is not None:
                     scanner.bind_progress(
-                        _on_probe(scanner, snapshotter, fuse, report)
+                        _on_probe(scanner, snapshotter, fuse)
                     )
-                if report is not None:
-                    report(scanner.progress_stats())
             with span("run") as run_span:
                 scanner.run()
-            if report is not None:
-                report(scanner.progress_stats())
             if journal is not None:
                 journal.flush()
             if registry is not None:
@@ -781,26 +758,19 @@ def run_scan_shard(
                 snapshotter.close()
             return scanner, collector, run_span.wall if run_span else 0.0
 
-    # Flush the buffered journal tail when a worker is torn down early:
-    # the hang reaper's SIGTERM or a plain process exit.  Only
-    # complete, already-serialized lines are written, so a half-dead
-    # worker still leaves a parseable file.
-    flush_tail = None
-    previous_sigterm = None
+    # Flush the buffered journal tail when the hang reaper SIGTERMs a
+    # worker.  Only complete, already-serialized lines are written, so
+    # a half-dead worker still leaves a parseable file.  A worker's
+    # process ends with its job, so the handler is never restored.
     if payload.get("in_worker") and journal is not None:
 
-        def flush_tail(signum=None, frame=None):
+        def flush_tail(signum, frame):
             try:
                 journal.flush()
             finally:
-                if signum is not None:
-                    os._exit(128 + signum)
+                os._exit(128 + signum)
 
-        try:
-            previous_sigterm = signal.signal(signal.SIGTERM, flush_tail)
-        except ValueError:
-            previous_sigterm = None  # non-main thread: atexit only
-        atexit.register(flush_tail)
+        signal.signal(signal.SIGTERM, flush_tail)
 
     profiler = None
     if payload.get("profile") and rd is not None:
@@ -834,14 +804,6 @@ def run_scan_shard(
         if profiler is not None:
             profiler.disable()
             profiler.dump_stats(str(rd.profile_path(shard_id)))
-        if flush_tail is not None:
-            # This job's handlers must not outlive it.
-            atexit.unregister(flush_tail)
-            if previous_sigterm is not None:
-                try:
-                    signal.signal(signal.SIGTERM, previous_sigterm)
-                except ValueError:
-                    pass
     timings["scan_seconds"] = wall
     metadata = ScanMetadata.from_scanner(scanner, wall_seconds=wall)
     if fault_plan is not None:
@@ -1128,26 +1090,39 @@ _START_METHOD = (
 )
 
 
+def _cause(exc: BaseException) -> str:
+    """A failed attempt's cause, the one shape every executor reports."""
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _relay(progress, stream: StreamWriter | None, shard_id: int, events):
+    """Pass one of a shard's reports on: its ``shard.health`` to the
+    progress line, and every event to the stream file when the run
+    streams."""
+    if progress is not None:
+        for event in events:
+            if event["kind"] == "shard.health":
+                progress.update(shard_id, event)
+    if stream is not None:
+        stream.write(events)
+
+
 def _fork_shard_main(job: dict[str, Any], conn) -> None:
     """Entry point of one shard worker process.
 
-    Runs the shard, sending its progress reports and telemetry
-    snapshots over the pipe as it scans, then ships the artifact — or
-    the exception — back over the same pipe.  Any death without a
+    Runs the shard, sending each of its reports as ``("report",
+    events)`` over the pipe as it scans, then ``("ok", artifact)`` or
+    ``("err", cause)``, where *cause* is a ``"<Type>: <message>"``
+    string, so no exception crosses the pipe.  Any death without a
     message (scripted SIGKILL, OOM, hang reaper) surfaces to the parent
     as EOF on the pipe.
     """
     try:
         artifact = run_scan_shard(
-            job,
-            lambda stats: conn.send(("progress", stats)),
-            lambda events: conn.send(("stream", events)),
+            job, lambda events: conn.send(("report", events))
         )
     except BaseException as exc:  # noqa: BLE001 — relayed, not handled
-        try:
-            conn.send(("err", exc))
-        except Exception:
-            conn.send(("err", RuntimeError(repr(exc))))
+        conn.send(("err", _cause(exc)))
         return
     conn.send(("ok", artifact))
 
@@ -1158,7 +1133,7 @@ def _run_fork_round(
     progress,
     hang_timeout: float | None,
     stream: StreamWriter | None,
-) -> tuple[list[dict[str, Any]], list[tuple[dict[str, Any], BaseException]]]:
+) -> tuple[list[dict[str, Any]], list[tuple[dict[str, Any], str]]]:
     """One process-per-job pass over *jobs*.
 
     Each shard gets its own fresh worker process, started with
@@ -1167,23 +1142,24 @@ def _run_fork_round(
     process serves exactly one job, its scan mutations die with it — a
     worker reused across jobs would hand the second job an
     already-mutated world.  Results return over a pipe; a worker that
-    dies without sending one (scripted crash, OOM kill, hang reaper) is
-    reported as failed, and the caller's retry rounds re-execute it.
+    sends an error, or dies without sending a result (scripted crash,
+    OOM kill, hang reaper), is reported as failed with its cause, and
+    the caller's retry rounds re-execute it.
 
-    A worker's progress reports and telemetry snapshots arrive on the
-    same pipe: a report feeds *progress*, a snapshot is appended to
-    *stream*, and either restarts the worker's silence clock, which
-    starts at its first report (sent as its shard starts), so a spawned
-    worker's interpreter start-up is never judged.  With
-    *hang_timeout*, a worker silent that long gets SIGTERM — its flush
-    handler writes the buffered journal tail and exits — then SIGKILL
-    after :data:`_TERM_GRACE` seconds more, both through its own
-    ``Process`` object.  An unread message on its pipe counts as life,
-    so a parent slow to read never reaps a healthy worker.
+    A worker's reports arrive on the same pipe.  Each goes through
+    :func:`_relay` to *progress* and *stream* and restarts the worker's
+    silence clock, which starts at its first report (sent as its shard
+    starts), so a spawned worker's interpreter start-up is never
+    judged.  With *hang_timeout*, a worker silent that long gets
+    SIGTERM — its flush handler writes the buffered journal tail and
+    exits — then SIGKILL after :data:`_TERM_GRACE` seconds more, both
+    through its own ``Process`` object.  An unread message on its pipe
+    counts as life, so a parent slow to read never reaps a healthy
+    worker.
     """
     ctx = multiprocessing.get_context(_START_METHOD)
     completed: list[dict[str, Any]] = []
-    failed: list[tuple[dict[str, Any], BaseException]] = []
+    failed: list[tuple[dict[str, Any], str]] = []
     pending = list(jobs)
     active: dict[Any, tuple[Any, dict[str, Any]]] = {}
     #: receiver -> monotonic time of the worker's last report.
@@ -1220,14 +1196,9 @@ def _run_fork_round(
                 kind, value = conn.recv()
             except (EOFError, OSError):
                 kind, value = "died", None
-            if kind == "progress":
+            if kind == "report":
                 seen[conn] = time.monotonic()
-                if progress is not None:
-                    progress.update(job["shard_id"], value)
-                continue
-            if kind == "stream":
-                seen[conn] = time.monotonic()
-                stream.write(value)
+                _relay(progress, stream, job["shard_id"], value)
                 continue
             del active[conn]
             conn.close()
@@ -1242,11 +1213,8 @@ def _run_fork_round(
                 failed.append(
                     (
                         job,
-                        RuntimeError(
-                            f"shard {job['shard_id']} worker died "
-                            f"without a result "
-                            f"(exitcode {process.exitcode})"
-                        ),
+                        f"shard {job['shard_id']} worker died without "
+                        f"a result (exitcode {process.exitcode})",
                     )
                 )
             if pending:
@@ -1311,7 +1279,6 @@ def run_pipeline(
     hang_timeout: float | None = None,
     scenario_cache=None,
     profile: bool = False,
-    snapshot_interval: float = 1.0,
     ledger=None,
     shard_cache=None,
 ) -> PipelineOutcome:
@@ -1324,8 +1291,9 @@ def run_pipeline(
     ``progress`` is an optional live reporter (see
     :class:`repro.obs.progress.ProgressReporter`) fed by the scan stage.
     ``hang_timeout`` (seconds, at least :data:`MIN_HANG_TIMEOUT`) arms
-    the hung-worker reaper: a worker that sends no progress report for
-    that long is killed and its shard re-executed like any other crash.
+    the hung-worker reaper: a worker that sends no report for that long
+    is killed and its shard re-executed like any other crash.  A spec
+    whose fault plan hangs one of its shards needs it.
 
     ``scenario_cache`` names a content-keyed scenario cache directory
     (or passes a :class:`~repro.scenarios.compiled.ScenarioCache`);
@@ -1334,9 +1302,7 @@ def run_pipeline(
     execution detail, not campaign identity: hits and cold builds
     produce byte-identical artifacts.  ``profile`` makes every scan
     shard dump cProfile stats into the run directory.
-    ``snapshot_interval`` (wall seconds) paces the telemetry stream
-    when the spec enables it; like everything observational it never
-    affects results.  ``ledger`` names a cross-run ledger directory:
+    ``ledger`` names a cross-run ledger directory:
     after the run completes its row is appended to (or refreshed in)
     ``<ledger>/ledger.json`` — observational only, results are
     byte-identical with or without it.  ``shard_cache`` names (or
@@ -1357,27 +1323,37 @@ def run_pipeline(
             f"hang timeout must be finite and at least "
             f"{MIN_HANG_TIMEOUT:g} seconds, got {hang_timeout:g}"
         )
-    if not 0 < snapshot_interval < math.inf:
-        raise ValueError(
-            "snapshot interval must be positive and finite, "
-            f"got {snapshot_interval}"
-        )
-    rd = RunDirectory(run_dir) if run_dir is not None else None
-    if ledger is not None and rd is None:
+    if ledger is not None and run_dir is None:
         raise ValueError(
             "ledger requires a run directory (the ledger indexes run "
             "artifacts on disk)"
         )
-    if spec.journal and rd is None:
+    if spec.journal and run_dir is None:
         raise ValueError(
             "journal=True requires a run directory (events.ndjson needs "
             "somewhere to live)"
         )
-    if spec.stream and rd is None:
+    if spec.stream and run_dir is None:
         raise ValueError(
             "stream=True requires a run directory (the telemetry "
             "stream file needs somewhere to live)"
         )
+    crashes = []
+    fault_plan = spec.fault_plan()
+    if fault_plan is not None:
+        for shard_id in range(spec.shards):
+            crashes += [c for _, c in fault_plan.crash_clauses(shard_id)]
+    if crashes and run_dir is None:
+        raise ValueError(
+            "shard-crash fault clauses require a run directory "
+            "(crash markers track spent firings)"
+        )
+    if hang_timeout is None and any(c.mode == "hang" for c in crashes):
+        raise ValueError(
+            "a hang-mode shard-crash clause requires a hang timeout "
+            "(nothing else ends the hung worker)"
+        )
+    rd = RunDirectory(run_dir) if run_dir is not None else None
     if rd is not None:
         rd.bind_spec(spec)
         if spec.faults is not None:
@@ -1478,7 +1454,6 @@ def run_pipeline(
                             spec, scenario, targets, rd, workers,
                             stages_run, stages_skipped, progress,
                             hang_timeout=hang_timeout, profile=profile,
-                            snapshot_interval=snapshot_interval,
                             shard_ctx=shard_ctx,
                         )
                     )
@@ -1609,7 +1584,6 @@ def resume_pipeline(
     hang_timeout: float | None = None,
     scenario_cache=None,
     profile: bool = False,
-    snapshot_interval: float = 1.0,
     ledger=None,
     shard_cache=None,
 ) -> PipelineOutcome:
@@ -1628,7 +1602,6 @@ def resume_pipeline(
         hang_timeout=hang_timeout,
         scenario_cache=scenario_cache,
         profile=profile,
-        snapshot_interval=snapshot_interval,
         ledger=ledger,
         shard_cache=shard_cache,
     )
@@ -1669,7 +1642,6 @@ def _run_scan_stage(
     progress=None,
     hang_timeout: float | None = None,
     profile: bool = False,
-    snapshot_interval: float = 1.0,
     shard_ctx: "_ShardCacheContext | None" = None,
 ) -> tuple[list[dict[str, Any]], dict[int, int], list[int]]:
     """Produce every shard artifact, reusing any already on disk.
@@ -1783,8 +1755,6 @@ def _run_scan_stage(
             "asns": groups[shard_id],
             "pinned_duration": pinned,
         }
-        if spec.stream:
-            job["snapshot_interval"] = snapshot_interval
         if budget_shares is not None:
             job["pinned_retry_budget"] = budget_shares[shard_id]
         if profile:
@@ -1806,21 +1776,20 @@ def _run_scan_stage(
         while remaining:
             for job in remaining:
                 shard_attempts[job["shard_id"]] += 1
-            failed: list[tuple[dict[str, Any], BaseException]]
+            failed: list[tuple[dict[str, Any], str]]
             if inline:
                 round_results, failed = [], []
                 for job in remaining:
-                    sinks = {}
-                    if progress is not None:
-                        sinks["report"] = partial(
-                            progress.update, job["shard_id"]
+                    report = None
+                    if progress is not None or stream is not None:
+                        report = partial(
+                            _relay, progress, stream, job["shard_id"]
                         )
-                    if stream is not None:
-                        sinks["stream"] = stream.write
                     try:
-                        round_results.append(run_scan_shard(job, **sinks))
-                    except ShardCrashInjected as exc:
-                        failed.append((job, exc))
+                        round_results.append(run_scan_shard(job, report))
+                    except Exception as exc:  # noqa: BLE001 — retried
+                        # Fails the attempt as a worker's error does.
+                        failed.append((job, _cause(exc)))
                         continue
                     if progress is not None:
                         progress.shard_done()
@@ -1845,13 +1814,13 @@ def _run_scan_stage(
             if not failed:
                 break
             retry_jobs: list[dict[str, Any]] = []
-            exhausted: list[tuple[int, BaseException]] = []
-            for job, exc in sorted(
+            exhausted: list[tuple[int, str]] = []
+            for job, cause in sorted(
                 failed, key=lambda item: item[0]["shard_id"]
             ):
                 shard_id = job["shard_id"]
                 if shard_attempts[shard_id] >= MAX_SHARD_ATTEMPTS:
-                    exhausted.append((shard_id, exc))
+                    exhausted.append((shard_id, cause))
                 else:
                     retry_jobs.append(job)
             if exhausted:
@@ -1859,11 +1828,11 @@ def _run_scan_stage(
                     # Only now: a failed attempt that will be retried
                     # stays open, so the run does not look finished
                     # between a crash and the shard's re-execution.
-                    for shard_id, exc in exhausted:
-                        stream.close_shard(shard_id, f"failed: {exc}")
+                    for shard_id, cause in exhausted:
+                        stream.close_shard(shard_id, f"failed: {cause}")
                 detail = "; ".join(
-                    f"shard {shard_id}: {exc!r}"
-                    for shard_id, exc in exhausted
+                    f"shard {shard_id}: {cause}"
+                    for shard_id, cause in exhausted
                 )
                 raise PartialScanError(
                     f"{len(exhausted)} scan shard(s) failed after "

@@ -71,7 +71,13 @@ CRASH_MODES = ("kill", "raise", "hang")
 
 
 class ShardCrashInjected(RuntimeError):
-    """Raised by an inline shard when a ``shard-crash`` clause fires."""
+    """Raised by a shard when a ``shard-crash`` clause fires in ``raise``
+    mode, or in any mode inline.
+
+    Like any exception that escapes a shard, it fails the attempt: the
+    pipeline records ``"ShardCrashInjected: <message>"`` as the cause
+    and re-executes the shard.
+    """
 
     def __init__(self, shard: int, clause_index: int) -> None:
         super().__init__(
@@ -208,11 +214,13 @@ class ShardCrash:
 
     ``times`` bounds how often the clause fires across re-executions
     (the worker leaves a marker file per firing, so a re-run of the
-    same shard does not crash forever).  ``mode`` picks the failure:
-    ``kill`` SIGKILLs the worker process (inline shards downgrade to
-    ``raise``), ``raise`` throws :class:`ShardCrashInjected`, ``hang``
-    stops sending probes, and with them progress reports, so the
-    parent's hang reaper must act.
+    same shard does not crash forever), which is why the pipeline
+    refuses such a clause without a run directory.  ``mode`` picks the
+    failure: ``kill`` SIGKILLs the worker process (inline shards
+    downgrade to ``raise``), ``raise`` throws
+    :class:`ShardCrashInjected`, ``hang`` stops sending probes, and with
+    them reports, so the parent's hang reaper must act; the pipeline
+    refuses a ``hang`` clause without a hang timeout.
     """
 
     shard: int

@@ -29,13 +29,15 @@ This package gives the reproduction the same property:
     CLI: per-probe narratives, per-ASN summaries, and an audit that
     ties every classification back to journal evidence.
 ``progress``
-    A live rate/ETA progress line on stderr fed by each scan shard's
-    progress reports, so long campaigns are not silent.
+    A live rate/ETA progress line on stderr fed by the ``shard.health``
+    event of each scan shard's reports, so long campaigns are not
+    silent.
 ``stream``
     The live data plane: each shard's :class:`TelemetrySnapshotter`
-    builds periodic metric deltas and ``shard.health`` events, the
-    pipeline parent's :class:`StreamWriter` appends every shard's to
-    the run's one ``telemetry-stream.ndjson``, and the
+    builds its reports, periodic ``shard.health`` events plus, when
+    the run streams, metric deltas; the pipeline parent's
+    :class:`StreamWriter` appends every shard's to the run's one
+    ``telemetry-stream.ndjson``, and the
     :class:`StreamReader`/:class:`RunStream`/:class:`RunHealth` layer
     tails it into derived run health.
 ``watch``

@@ -20,8 +20,9 @@ telemetry of two runs field-by-field:
 
 Everything is a pure function of the two run directories: the same
 inputs render byte-identical output, ``diff(A, A)`` is empty, and
-``mirror(run_diff(a, b)) == run_diff(b, a)`` (antisymmetry) — all
-CI-asserted.
+``mirror(run_diff(a, b)) == run_diff(b, a)`` (antisymmetry) — asserted
+by ``test_self_diff_is_empty_and_deterministic`` and
+``test_diff_is_antisymmetric``.
 """
 
 from __future__ import annotations
@@ -443,9 +444,9 @@ def run_diff(run_a, run_b, *, advisory: bool = False) -> dict:
 def mirror(envelope: dict) -> dict:
     """The envelope of ``diff(B, A)`` given ``diff(A, B)``.
 
-    Tests and CI assert ``mirror(run_diff(a, b)) == run_diff(b, a)`` —
-    the antisymmetry contract that proves the diff has no hidden
-    order-dependent state.
+    ``test_diff_is_antisymmetric`` asserts
+    ``mirror(run_diff(a, b)) == run_diff(b, a)`` — the antisymmetry
+    contract that proves the diff has no hidden order-dependent state.
     """
 
     def swap(entry: dict) -> dict:

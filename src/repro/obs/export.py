@@ -17,9 +17,12 @@ Layout::
       "spans": {...}            # SpanRecorder payload (wall/sim tree)
     }
 
-``repro-dsav obs <run-dir>`` renders this file; CI validates it with
-:func:`validate_telemetry` and compares the deterministic slice across
-shard counts with :func:`deterministic_counters`.
+``repro-dsav obs <run-dir>`` renders this file.
+``test_telemetry_json_written_and_valid`` validates it with
+:func:`validate_telemetry`, and
+``test_four_shard_deterministic_slice_matches_one_shard`` compares the
+deterministic slice across shard counts with
+:func:`deterministic_counters`.
 """
 
 from __future__ import annotations

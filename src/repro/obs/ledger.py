@@ -5,12 +5,14 @@ on disk (``manifest.json``, ``results.json``, ``telemetry.json``), so
 the ledger is a pure function of the run directories it indexes:
 appending rows one run at a time and rebuilding from scratch with
 ``repro-dsav ledger <dir> --rebuild`` produce byte-identical
-``ledger.json`` files — CI asserts this.
+``ledger.json`` files (``test_rebuild_is_byte_identical_to_incremental``
+asserts this).
 
 Each row carries the run's identity (spec content key, scenario
 ``content_key``, topology mode, fault-plan digest), the schema/code
 versions that produced it, headline stats, a results digest (the same
-"results minus provenance" slice CI's equivalence checks hash), a
+"results minus provenance" slice the tier-1 pins hash, such as
+``test_star_topology_results_match_pin``), a
 telemetry digest over the deterministic metric families, and wall
 timings.  ``repro-dsav trend`` consumes the ledger as its time-series
 store; ``repro-dsav diff`` shares this module's run-directory loading

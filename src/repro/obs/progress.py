@@ -1,14 +1,15 @@
 """Live scan progress: a rate/ETA reporter on stderr.
 
-A production-scale campaign is hours of silence without this.  Each
-scan shard reports its scanner's counters
-(:meth:`~repro.core.scanner.Scanner.progress_stats`) every half second
-of scanning: an inline shard calls :meth:`ProgressReporter.update`
-directly, and a forked worker sends the report over its result pipe
-for the parent to pass on.  The reporter keeps each shard's latest
-counters and renders a single-line status to stderr: probes sent vs
-planned, send rate, penetrations so far, shards done, and an ETA
-extrapolated from the wall-clock rate.
+A production-scale campaign is hours of silence without this.  A scan
+shard's reports are its telemetry snapshots, sent every half second
+of scanning (see :mod:`repro.obs.stream`); the pipeline parent passes
+each one's ``shard.health`` event, which carries the scanner's counters
+(:meth:`~repro.core.scanner.Scanner.progress_stats`), to
+:meth:`ProgressReporter.update`, whether the shard runs inline or in a
+forked worker.  The reporter keeps each shard's latest counters and
+renders a single-line status to stderr: probes sent vs planned, send
+rate, penetrations so far, shards done, and an ETA extrapolated from
+the wall-clock rate.
 
 On a terminal the line redraws in place with ``\\r``; piped to a file it
 degrades to a periodic plain line so logs stay readable.  Progress never

@@ -11,10 +11,13 @@ tail while the run is in flight (or replay afterwards).
 Write side: :class:`TelemetrySnapshotter` → :class:`StreamWriter`
 -----------------------------------------------------------------
 
-The scan shard's one per-probe callback calls
-:meth:`TelemetrySnapshotter.tick`, which checks the wall clock and
-emits a snapshot whenever the configured interval has elapsed.  The
-first tick snapshots at once.  A snapshot is one list of events:
+A snapshot is a scan shard's one report to the pipeline parent, which
+feeds its ``shard.health`` to the progress line and, when the run
+streams, appends it to the stream file.  The shard forces one as it
+starts and one once its scanner is built; after that, its one
+per-probe callback calls :meth:`TelemetrySnapshotter.tick`, which
+checks the monotonic clock and emits a snapshot every half second
+(the pipeline's report interval).  A snapshot is one list of events:
 
 * ``shard.health`` — the shard's live state as a typed event: pid,
   sim/wall time, probes sent vs planned, penetrations, retry counters,
@@ -25,10 +28,11 @@ first tick snapshots at once.  A snapshot is one list of events:
   shard's final registry, so readers never need the end-of-run
   artifact.
 
-A forked worker sends the list over the pipe it reports progress on;
-an inline shard hands it to the parent's :class:`StreamWriter`
-directly.  The writer appends it as complete lines with a **single**
-``os.write``, so a reader never observes a torn line.
+A forked worker sends the list over its result pipe; an inline shard
+hands it to the parent's relay directly.  Only a streamed run diffs a
+registry into ``metrics.delta`` events.  The parent's
+:class:`StreamWriter` appends the list as complete lines with a
+**single** ``os.write``, so a reader never observes a torn line.
 
 Every line carries a versioned envelope: schema version ``v``, the
 shard id, a ``seq`` that rises within one execution (attempt) of the
@@ -40,8 +44,8 @@ nothing is rewritten.  A shard out of attempts gets its
 
 Streaming shares the telemetry contract: it observes, it never steers.
 Results, ``telemetry.json`` and the journal are byte-identical with
-snapshots on or off, at any snapshot interval (the stream tests assert
-the results on a faulted run in forked workers).
+the stream on or off (the stream tests assert the results on a
+faulted run in forked workers).
 
 Read side: :class:`StreamReader` / :class:`RunStream` / :class:`RunHealth`
 --------------------------------------------------------------------------
@@ -108,8 +112,10 @@ class TelemetrySnapshotter:
     """Periodic snapshot builder for one execution of a scan shard.
 
     The shard calls :meth:`tick` after each probe it sends; between
-    snapshots a tick costs one ``time.time()`` check.  Each snapshot's
-    events go to *sink* as one list.
+    snapshots a tick costs one ``time.monotonic()`` check.  Snapshots
+    are paced on that clock, so a step of the wall clock never delays
+    one; ``t_wall`` stamps stay epoch seconds.  Each snapshot's events
+    go to *sink* as one list.
 
     ``registry`` (optional) is diffed at each snapshot into a
     ``metrics.delta`` event.  :meth:`attach` binds the live scanner
@@ -133,7 +139,7 @@ class TelemetrySnapshotter:
         self.registry = registry
         self._seq = 0
         self._closed = False
-        self._next_due = 0.0
+        self._next_due = float("-inf")
         self._scanner = None
         # Previous registry state, flattened for delta computation:
         # name -> {labels: value-or-histogram-cells}.
@@ -149,9 +155,8 @@ class TelemetrySnapshotter:
 
     def tick(self) -> None:
         """Snapshot if the interval has elapsed since the last one."""
-        now = time.time()
-        if now >= self._next_due:
-            self.snapshot(now=now)
+        if time.monotonic() >= self._next_due:
+            self.snapshot()
 
     def _envelope(self, kind: str, t_wall: float) -> dict[str, Any]:
         scanner = self._scanner
@@ -231,21 +236,17 @@ class TelemetrySnapshotter:
         return families
 
     def snapshot(
-        self,
-        *,
-        force: bool = False,
-        now: float | None = None,
-        status: str = "running",
+        self, *, force: bool = False, status: str = "running"
     ) -> int:
         """Emit one snapshot (health + metric deltas); returns events
         emitted.  Throttled to ``interval`` unless *force*."""
         if self._closed:
             return 0
-        if now is None:
-            now = time.time()
-        if not force and now < self._next_due:
+        mono = time.monotonic()
+        if not force and mono < self._next_due:
             return 0
-        self._next_due = now + self.interval
+        self._next_due = mono + self.interval
+        now = time.time()
         events: list[dict[str, Any]] = []
         if self._seq == 0:
             opening = self._envelope("stream.open", now)
@@ -271,9 +272,8 @@ class TelemetrySnapshotter:
         """
         if self._closed:
             return
-        now = time.time()
-        self.snapshot(force=True, now=now, status=status)
-        closing = self._envelope("stream.close", now)
+        self.snapshot(force=True, status=status)
+        closing = self._envelope("stream.close", time.time())
         closing["status"] = status
         closing["events"] = self._seq
         self.sink([closing])

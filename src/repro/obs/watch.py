@@ -145,8 +145,9 @@ def run_watch(
     """Tail *run_dir*'s telemetry stream until the run finishes.
 
     Returns a process exit code: ``0`` on a completed (or ``--once``)
-    watch, ``2`` when *timeout* wall seconds pass without a single
-    stream event on a run that is not finished.
+    watch, ``2`` when *timeout* wall seconds pass without a stream
+    event on a run that is not finished, counted from the last event,
+    or from the start while none has come.
     """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
@@ -155,8 +156,7 @@ def run_watch(
     health = RunHealth()
     prom_path = Path(prom_textfile) if prom_textfile else None
     is_tty = bool(getattr(out, "isatty", lambda: False)())
-    started = time.time()
-    last_event = None
+    last_event = time.time()
     drained_after_finish = False
 
     while True:
@@ -196,15 +196,15 @@ def run_watch(
             # our last poll and the results artifact is not dropped.
             drained_after_finish = True
             continue
-        if (
-            timeout is not None
-            and last_event is None
-            and now - started >= timeout
-        ):
+        if timeout is not None and now - last_event >= timeout:
+            hint = (
+                "is the scan still running?"
+                if health.events_absorbed
+                else "is the run streaming? scan needs --snapshots"
+            )
             err.write(
-                f"watch: no stream events in {run_dir} after "
-                f"{timeout:g}s (is the run streaming? scan needs "
-                "--snapshots)\n"
+                f"watch: no stream events in {run_dir} for "
+                f"{timeout:g}s ({hint})\n"
             )
             return 2
         time.sleep(interval)

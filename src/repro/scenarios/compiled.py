@@ -96,7 +96,8 @@ def params_payload(params: ScenarioParams) -> dict[str, Any]:
             value = value.to_payload() if value is not None else None
         elif field.name == "evolution":
             # Absent — not null — when unset, so every pre-evolution
-            # content key (including the CI-pinned star hash) survives.
+            # content key survives (and with it the star pin of
+            # test_star_topology_results_match_pin).
             if value is None:
                 continue
         payload[field.name] = value

@@ -308,7 +308,8 @@ class ScenarioParams:
     #: payload>, "epoch": N}`` (see :mod:`repro.campaigns.evolution`).
     #: ``None`` — the default for every non-campaign scan — is omitted
     #: from the content-key payload entirely, so legacy scenario keys
-    #: (and the CI-pinned star hash) are untouched.
+    #: (and the star pin of ``test_star_topology_results_match_pin``)
+    #: are untouched.
     evolution: dict | None = None
 
     def __post_init__(self) -> None:

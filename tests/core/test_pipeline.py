@@ -223,9 +223,9 @@ def test_resume_runs_only_missing_shards(sharded, monkeypatch, tmp_path):
     ran = []
     real = pipeline_module.run_scan_shard
 
-    def counting(job):
+    def counting(job, *sinks):
         ran.append(job["shard_id"])
-        return real(job)
+        return real(job, *sinks)
 
     monkeypatch.setattr(pipeline_module, "run_scan_shard", counting)
     resumed = resume_pipeline(copy, workers=0)
@@ -252,7 +252,7 @@ def test_resume_requires_manifest(tmp_path):
         resume_pipeline(tmp_path / "nowhere")
 
 
-def _refuse_to_scan(job):
+def _refuse_to_scan(job, *sinks):
     raise AssertionError(
         f"shard {job['shard_id']} re-ran during a resume that should "
         "have been served from artifacts"

@@ -334,8 +334,10 @@ def test_exhausted_shard_raises_partial_and_resumes(baseline, tmp_path):
     """A shard that crashes on every allowed attempt fails the run with
     exit-code-3 semantics and persisted survivor artifacts; a resume
     (the crash clause now spent) completes only the dead shard.  The
-    parent closes the dead shard's stream, so a watcher of the failed
-    run ends, and the resume appends the shard's completing attempt."""
+    forked workers' raised crashes reach the parent as cause strings.
+    The parent closes the dead shard's stream, so a watcher of the
+    failed run ends, and the resume appends the shard's completing
+    attempt."""
     run_dir = tmp_path / "run"
     spec = replace(
         crash_spec(
@@ -344,8 +346,9 @@ def test_exhausted_shard_raises_partial_and_resumes(baseline, tmp_path):
         stream=True,
     )
     with pytest.raises(PartialScanError) as excinfo:
-        run_pipeline(spec, run_dir=run_dir, workers=0)
+        run_pipeline(spec, run_dir=run_dir, workers=2)
     assert excinfo.value.failed_shards == [2]
+    assert "shard 2: ShardCrashInjected: " in str(excinfo.value)
     assert excinfo.value.exit_code == 3
     assert isinstance(excinfo.value, PipelineError)
     persisted = {p.name for p in run_dir.glob("shard-*.json")}
@@ -357,7 +360,7 @@ def test_exhausted_shard_raises_partial_and_resumes(baseline, tmp_path):
     assert stream.finished()
     last = [e for e in events if e["shard"] == 2][-1]
     assert last["kind"] == "stream.close"
-    assert last["status"].startswith("failed: ")
+    assert last["status"].startswith("failed: ShardCrashInjected: ")
     assert run_watch(
         run_dir, json_mode=True, interval=0.01, out=io.StringIO()
     ) == 0
@@ -371,3 +374,40 @@ def test_exhausted_shard_raises_partial_and_resumes(baseline, tmp_path):
     assert [e["kind"] for e in shard_2].count("stream.open") == 4
     assert shard_2[-1]["kind"] == "stream.close"
     assert shard_2[-1]["status"] == "complete"
+
+
+def test_inline_shard_exception_fails_only_its_attempts(
+    monkeypatch, tmp_path
+):
+    """Any exception an inline shard raises fails the attempt, as a
+    worker's error does: the other shards are persisted, the shard is
+    retried, and once out of attempts its stream is closed with the
+    cause, so a watcher of the failed run ends."""
+    real = pipeline.run_scan_shard
+
+    def shard_1_raises(job, *sinks):
+        if job["shard_id"] == 1:
+            raise RuntimeError("disk on fire")
+        return real(job, *sinks)
+
+    monkeypatch.setattr(pipeline, "run_scan_shard", shard_1_raises)
+    run_dir = tmp_path / "run"
+    with pytest.raises(PartialScanError) as excinfo:
+        run_pipeline(
+            replace(spec_for(shards=4), stream=True),
+            run_dir=run_dir,
+            workers=0,
+        )
+    assert excinfo.value.failed_shards == [1]
+    assert "shard 1: RuntimeError: disk on fire" in str(excinfo.value)
+    persisted = {p.name for p in run_dir.glob("shard-*.json")}
+    assert persisted == {
+        "shard-000.json", "shard-002.json", "shard-003.json"
+    }
+    events = RunStream(run_dir).poll()
+    last = [e for e in events if e["shard"] == 1][-1]
+    assert last["kind"] == "stream.close"
+    assert last["status"].startswith("failed: RuntimeError:")
+    assert run_watch(
+        run_dir, json_mode=True, interval=0.01, out=io.StringIO()
+    ) == 0

@@ -256,7 +256,6 @@ def run_streamed(
     name,
     *,
     shards,
-    interval=0.001,
     stream=True,
     workers=0,
     faults=None,
@@ -270,13 +269,7 @@ def run_streamed(
         stream=stream,
         faults=faults,
     )
-    outcome = run_pipeline(
-        spec,
-        run_dir=tmp_path / name,
-        workers=workers,
-        snapshot_interval=interval,
-    )
-    return outcome
+    return run_pipeline(spec, run_dir=tmp_path / name, workers=workers)
 
 
 def accumulated_deterministic_deltas(run_dir):
@@ -352,7 +345,7 @@ def test_streaming_never_changes_results(tmp_path):
         [sys.executable, "-m", "repro.cli", "scan", "--seed", "11",
          "--n-ases", "30", "--duration", "45", "--retries", "3",
          "--shards", "4", "--workers", "2", "--faults", str(plan_path),
-         "--snapshots", "--snapshot-interval", "0.05", "--quiet",
+         "--snapshots", "--quiet",
          "--run-dir", str(run_dir), "--json", str(results_path)],
         stdout=subprocess.DEVNULL,
         env={**os.environ, "PYTHONPATH": SRC},

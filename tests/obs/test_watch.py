@@ -2,13 +2,16 @@
 
 import io
 import json
+import time
 
 from repro.core.pipeline import CampaignSpec, run_pipeline
 from repro.core.scanner import ScanConfig
 from repro.obs.stream import (
+    STREAM_FILE,
     RunHealth,
     RunStream,
     StreamWriter,
+    TelemetrySnapshotter,
     validate_stream_events,
 )
 from repro.obs.watch import render_dashboard, run_watch
@@ -26,7 +29,7 @@ def finished_run(tmp_path_factory):
         config=ScanConfig(duration=45.0),
         stream=True,
     )
-    run_pipeline(spec, run_dir=run_dir, workers=0, snapshot_interval=0.001)
+    run_pipeline(spec, run_dir=run_dir, workers=0)
     return run_dir
 
 
@@ -113,6 +116,30 @@ def test_watch_timeout_on_streamless_run(tmp_path):
         err=io.StringIO(),
     )
     assert code == 2
+
+
+def test_watch_timeout_counts_from_the_last_event(tmp_path):
+    """A run whose events stop before it finishes (its pipeline parent
+    died) times out too, not only a run that never streamed."""
+    (tmp_path / "manifest.json").write_text(
+        json.dumps({"spec": {"shards": 1}})
+    )
+    TelemetrySnapshotter(
+        StreamWriter(tmp_path / STREAM_FILE).write, shard_id=0
+    ).snapshot(force=True)
+    err = io.StringIO()
+    started = time.monotonic()
+    code = run_watch(
+        tmp_path,
+        json_mode=True,
+        interval=0.05,
+        timeout=0.3,
+        out=io.StringIO(),
+        err=err,
+    )
+    assert code == 2
+    assert time.monotonic() - started < 1.0
+    assert len(err.getvalue().splitlines()) == 1
 
 
 def test_render_dashboard_flags_stalled_shards():

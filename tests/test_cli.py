@@ -163,6 +163,18 @@ def test_scan_journal_requires_run_dir(capsys):
     assert "--run-dir" in capsys.readouterr().err
 
 
+def write_crash_plan(tmp_path, mode: str) -> Path:
+    """Write a fault plan whose one clause crashes shard 1 once."""
+    path = tmp_path / f"crash-{mode}.json"
+    path.write_text(json.dumps({
+        "schema_version": 1,
+        "name": f"crash-{mode}",
+        "clauses": [{"kind": "shard-crash", "shard": 1, "after_probes": 50,
+                     "times": 1, "mode": mode}],
+    }))
+    return path
+
+
 @pytest.mark.parametrize(
     "flags",
     [
@@ -171,10 +183,6 @@ def test_scan_journal_requires_run_dir(capsys):
         pytest.param(["--n-ases", "2"], id="n-ases"),
         pytest.param(["--shards", "0"], id="shards"),
         pytest.param(["--workers", "-1"], id="workers"),
-        pytest.param(
-            ["--snapshots", "--snapshot-interval", "0"],
-            id="snapshot-interval",
-        ),
         pytest.param(
             ["--shards", "2", "--workers", "2", "--hang-timeout", "0"],
             id="hang-timeout",
@@ -185,14 +193,6 @@ def test_scan_journal_requires_run_dir(capsys):
         ),
         pytest.param(["--duration", "nan"], id="duration-nan"),
         pytest.param(["--duration", "inf"], id="duration-inf"),
-        pytest.param(
-            ["--snapshots", "--snapshot-interval", "nan"],
-            id="snapshot-interval-nan",
-        ),
-        pytest.param(
-            ["--snapshots", "--snapshot-interval", "inf"],
-            id="snapshot-interval-inf",
-        ),
         pytest.param(
             ["--shards", "2", "--workers", "2", "--hang-timeout", "nan"],
             id="hang-timeout-nan",
@@ -206,19 +206,41 @@ def test_scan_journal_requires_run_dir(capsys):
         pytest.param(["--resume", "FILE"], id="resume-file"),
         pytest.param(["--scenario-cache", "FILE"], id="scenario-cache-file"),
         pytest.param(["--ledger", "FILE"], id="ledger-file"),
+        # HANG_PLAN stands for a written plan that hangs shard 1.
+        pytest.param(
+            ["--shards", "2", "--workers", "2", "--faults", "HANG_PLAN"],
+            id="hang-crash-without-hang-timeout",
+        ),
     ],
 )
 def test_scan_bad_input_exits_two_with_one_line(capsys, tmp_path, flags):
     run_dir = tmp_path / "run"
     regular_file = tmp_path / "file"
     regular_file.write_text("not a directory\n")
-    flags = [str(regular_file) if flag == "FILE" else flag for flag in flags]
+    placeholders = {
+        "FILE": str(regular_file),
+        "HANG_PLAN": str(write_crash_plan(tmp_path, "hang")),
+    }
+    flags = [placeholders.get(flag, flag) for flag in flags]
     # --run-dir comes first, so a --run-dir in *flags* overrides it.
     assert main(["scan", "--run-dir", str(run_dir), *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert len(err.splitlines()) == 1
     assert not run_dir.exists()
+
+
+def test_scan_crash_plan_without_run_dir_exits_two(capsys, tmp_path):
+    """Crash markers need a run directory: refused before any shard
+    runs, not after every attempt of the crashing shard."""
+    plan = write_crash_plan(tmp_path, "raise")
+    assert main(["scan", "--n-ases", "15", "--seed", "3", "--duration",
+                 "30", "--shards", "2", "--workers", "2", "--faults",
+                 str(plan), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "run directory" in err
+    assert len(err.splitlines()) == 1
 
 
 #: sha256 of the default star topology's results minus provenance at
