@@ -50,6 +50,7 @@ schedule so the gap is explicit, never silent.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, replace
@@ -111,10 +112,15 @@ class CampaignPolicy:
             )
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.backoff < 0:
-            raise ValueError("backoff must be >= 0")
-        if self.deadline is not None and self.deadline < 0:
-            raise ValueError("deadline must be >= 0")
+        # Written so that NaN fails too: every comparison with it is false.
+        if not 0 <= self.backoff < math.inf:
+            raise ValueError(
+                f"backoff must be finite and >= 0, got {self.backoff:g}"
+            )
+        if self.deadline is not None and not 0 <= self.deadline < math.inf:
+            raise ValueError(
+                f"deadline must be finite and >= 0, got {self.deadline:g}"
+            )
         if not 0 < self.degrade_rate <= 1:
             raise ValueError("degrade_rate must be in (0, 1]")
 
@@ -190,8 +196,11 @@ class CampaignSupervisor:
         workers: int | None = None,
         echo: Callable[[str], None] | None = None,
     ) -> None:
+        # Checked before drive() creates the campaign directory.
         if epochs < 1:
-            raise CampaignError("a campaign needs at least one epoch")
+            raise ValueError(f"epochs must be >= 1, got {epochs}")
+        if workers is not None and workers < 0:
+            raise ValueError(f"workers must be >= 0, got {workers}")
         if spec.evolution is not None:
             raise CampaignError(
                 "the base spec must not carry an evolution block — the "

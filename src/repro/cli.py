@@ -153,35 +153,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
         if getattr(args, name) is None:
             setattr(args, name, default)
 
-    if args.journal and args.resume is None and args.run_dir is None:
-        print(
-            "error: --journal requires --run-dir "
-            "(events.ndjson needs somewhere to live)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.snapshots and args.resume is None and args.run_dir is None:
-        print(
-            "error: --snapshots requires --run-dir "
-            "(telemetry-stream.ndjson needs somewhere to live)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.profile and args.resume is None and args.run_dir is None:
-        print(
-            "error: --profile requires --run-dir "
-            "(profile-NNN.pstats needs somewhere to live)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.ledger is not None and args.resume is None and args.run_dir is None:
-        print(
-            "error: --ledger requires --run-dir "
-            "(the ledger indexes run artifacts on disk)",
-            file=sys.stderr,
-        )
-        return 2
-
     spec = None
     if args.resume is None:
         try:
@@ -344,6 +315,9 @@ def cmd_watch(args: argparse.Namespace) -> int:
             once=args.once,
             timeout=args.timeout,
         )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except KeyboardInterrupt:
         return 130
 

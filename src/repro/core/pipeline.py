@@ -1301,7 +1301,7 @@ def run_pipeline(
     variable, and no cache at all simply builds cold.  The cache is an
     execution detail, not campaign identity: hits and cold builds
     produce byte-identical artifacts.  ``profile`` makes every scan
-    shard dump cProfile stats into the run directory.
+    shard dump cProfile stats into the run directory, so it needs one.
     ``ledger`` names a cross-run ledger directory:
     after the run completes its row is appended to (or refreshed in)
     ``<ledger>/ledger.json`` — observational only, results are
@@ -1323,21 +1323,19 @@ def run_pipeline(
             f"hang timeout must be finite and at least "
             f"{MIN_HANG_TIMEOUT:g} seconds, got {hang_timeout:g}"
         )
-    if ledger is not None and run_dir is None:
-        raise ValueError(
-            "ledger requires a run directory (the ledger indexes run "
-            "artifacts on disk)"
-        )
-    if spec.journal and run_dir is None:
-        raise ValueError(
-            "journal=True requires a run directory (events.ndjson needs "
-            "somewhere to live)"
-        )
-    if spec.stream and run_dir is None:
-        raise ValueError(
-            "stream=True requires a run directory (the telemetry "
-            "stream file needs somewhere to live)"
-        )
+    if run_dir is None:
+        for wanted, what, why in (
+            (ledger is not None, "ledger", "the ledger indexes run "
+             "artifacts on disk"),
+            (spec.journal, "journal", "events.ndjson needs somewhere "
+             "to live"),
+            (spec.stream, "stream", "telemetry-stream.ndjson needs "
+             "somewhere to live"),
+            (profile, "profile", "profile-NNN.pstats needs somewhere "
+             "to live"),
+        ):
+            if wanted:
+                raise ValueError(f"{what} requires a run directory ({why})")
     crashes = []
     fault_plan = spec.fault_plan()
     if fault_plan is not None:

@@ -23,11 +23,13 @@ a live run.
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
 from pathlib import Path
 
 from .export import to_prometheus, write_prom_textfile
+from .progress import _format_eta
 from .stream import RunHealth, RunStream
 
 #: Compact single-line encoder for --json output.
@@ -39,15 +41,6 @@ STALL_AFTER = 10.0
 
 def _fmt_rate(rate: float) -> str:
     return f"{rate:,.0f}/s"
-
-
-def _fmt_eta(seconds: float) -> str:
-    seconds = int(seconds)
-    if seconds >= 3600:
-        return f"{seconds // 3600}h{(seconds % 3600) // 60:02d}m"
-    if seconds >= 60:
-        return f"{seconds // 60}m{seconds % 60:02d}s"
-    return f"{seconds}s"
 
 
 def render_dashboard(
@@ -78,7 +71,7 @@ def render_dashboard(
         top += f" ({rate:.2%})"
     eta = health.eta_seconds()
     if eta is not None and not finished:
-        top += f"  eta {_fmt_eta(eta)}"
+        top += f"  eta {_format_eta(eta)}"
     lines.append(top)
     lines.append(
         f"{'shard':>5} {'status':<9} {'pid':>7} "
@@ -147,8 +140,16 @@ def run_watch(
     Returns a process exit code: ``0`` on a completed (or ``--once``)
     watch, ``2`` when *timeout* wall seconds pass without a stream
     event on a run that is not finished, counted from the last event,
-    or from the start while none has come.
+    or from the start while none has come.  An *interval* or *timeout*
+    that is not positive and finite raises ``ValueError`` before the
+    first poll.
     """
+    for name, value in (("interval", interval), ("timeout", timeout)):
+        # Written so that NaN fails too: every comparison with it is false.
+        if value is not None and not 0 < value < math.inf:
+            raise ValueError(
+                f"{name} must be positive and finite, got {value:g}"
+            )
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     run_dir = Path(run_dir)

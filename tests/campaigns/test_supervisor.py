@@ -1,8 +1,14 @@
-"""Epoch supervisor: write-ahead schedule, crash resume, policies."""
+"""Epoch supervisor: write-ahead schedule, crash resume, policies.
+
+The reference campaign (``tests/conftest.py``) is the control of every
+test that needs one, and is shared read-only: a test that resumes or
+extends it works on a copy.  It is incremental; one full rescan of it
+runs once per module.
+"""
 
 import json
 import os
-import signal
+import shutil
 import subprocess
 import sys
 import time
@@ -14,46 +20,17 @@ import repro.campaigns.supervisor as supervisor_mod
 from repro.campaigns import (
     CampaignError,
     CampaignPolicy,
-    EvolutionPlan,
-    ResolverChurn,
-    SavRemediation,
     campaign_status,
     render_status,
     resume_campaign,
     run_campaign,
 )
-from repro.core import ScanConfig
-from repro.core.pipeline import CampaignSpec, PipelineError
+from repro.core.pipeline import PipelineError
 from repro.obs.ledger import ledger_digest
 
-SEED = 7
-N_ASES = 24
-DURATION = 10.0
+from ..conftest import CAMPAIGN_EPOCHS, campaign_plan, campaign_spec
 
-
-def _spec(**overrides) -> CampaignSpec:
-    values = dict(
-        seed=SEED,
-        n_ases=N_ASES,
-        shards=2,
-        partition="modulo",
-        config=ScanConfig(duration=DURATION),
-    )
-    values.update(overrides)
-    return CampaignSpec.from_scan_config(**values)
-
-
-def _plan(**overrides) -> EvolutionPlan:
-    values = dict(
-        seed=3,
-        name="drill",
-        clauses=(
-            ResolverChurn(rate=0.05),
-            SavRemediation(rate=0.1),
-        ),
-    )
-    values.update(overrides)
-    return EvolutionPlan(**values)
+SEED = campaign_spec().seed
 
 
 def _ledger_digest_of(base: Path) -> str:
@@ -72,14 +49,10 @@ def _epoch_digests(status: dict) -> list:
 # ---------------------------------------------------------------------------
 
 
-def test_campaign_runs_every_epoch(tmp_path):
-    status = run_campaign(
-        _spec(), _plan(), 3, tmp_path / "camp", workers=0
-    )
+def test_campaign_runs_every_epoch(reference_campaign):
+    base, status = reference_campaign
     assert status["counts"]["done"] == 3
-    rows = json.loads(
-        (tmp_path / "camp" / "ledger.json").read_text()
-    )["rows"]
+    rows = json.loads((base / "ledger.json").read_text())["rows"]
     assert [row["run"] for row in rows] == [
         "epoch-000", "epoch-001", "epoch-002",
     ]
@@ -91,51 +64,60 @@ def test_campaign_runs_every_epoch(tmp_path):
     assert "3 done" in text and "epoch   2" in text
 
 
-def test_identical_campaigns_are_byte_identical(tmp_path):
-    a = run_campaign(_spec(), _plan(), 3, tmp_path / "a", workers=0)
-    b = run_campaign(_spec(), _plan(), 3, tmp_path / "b", workers=0)
-    assert _ledger_digest_of(tmp_path / "a") == _ledger_digest_of(
-        tmp_path / "b"
+@pytest.fixture(scope="module")
+def full_rescan(tmp_path_factory):
+    """(campaign_dir, status) of the reference campaign with the shard
+    cache off."""
+    base = tmp_path_factory.mktemp("full-rescan") / "camp"
+    status = run_campaign(
+        campaign_spec(),
+        campaign_plan(),
+        CAMPAIGN_EPOCHS,
+        base,
+        workers=0,
+        policy=CampaignPolicy(incremental=False),
     )
+    return base, status
+
+
+def test_identical_campaigns_are_byte_identical(
+    reference_campaign, full_rescan
+):
+    """The same spec, plan and epochs give the same bytes, whichever
+    shards the cache served."""
+    (a_dir, a), (b_dir, b) = reference_campaign, full_rescan
+    assert _ledger_digest_of(a_dir) == _ledger_digest_of(b_dir)
     assert _epoch_digests(a) == _epoch_digests(b)
 
 
-def test_incremental_matches_full_rescan(tmp_path):
+def test_incremental_matches_full_rescan(reference_campaign, full_rescan):
     """Cache-served shards merge byte-identically to full re-execution."""
-    spec = _spec(shards=4)
-    plan = _plan()
-    full = run_campaign(
-        spec, plan, 3, tmp_path / "full", workers=0,
-        policy=CampaignPolicy(incremental=False),
-    )
-    inc = run_campaign(
-        spec, plan, 3, tmp_path / "inc", workers=0,
-        policy=CampaignPolicy(incremental=True),
-    )
+    (inc_dir, inc), (full_dir, full) = reference_campaign, full_rescan
     assert _epoch_digests(full) == _epoch_digests(inc)
-    assert _ledger_digest_of(tmp_path / "full") == _ledger_digest_of(
-        tmp_path / "inc"
-    )
-    hits = [
-        entry["cache_hits"] for entry in inc["schedule"]["epochs"]
-    ]
+    assert _ledger_digest_of(full_dir) == _ledger_digest_of(inc_dir)
+    hits = [entry["cache_hits"] for entry in inc["schedule"]["epochs"]]
     assert sum(hits[1:]) > 0, "low churn should reuse some shards"
     assert all(
-        entry["cache_hits"] == 0
-        for entry in full["schedule"]["epochs"]
+        entry["cache_hits"] == 0 for entry in full["schedule"]["epochs"]
     )
 
 
-def test_resume_of_finished_campaign_is_a_noop(tmp_path):
-    run_campaign(_spec(), _plan(), 2, tmp_path / "camp", workers=0)
-    before = _ledger_digest_of(tmp_path / "camp")
-    schedule_before = (tmp_path / "camp" / "schedule.json").read_text()
-    status = resume_campaign(tmp_path / "camp", workers=0)
-    assert status["counts"]["done"] == 2
-    assert _ledger_digest_of(tmp_path / "camp") == before
-    assert (
-        tmp_path / "camp" / "schedule.json"
-    ).read_text() == schedule_before
+def copy_of(reference_campaign, tmp_path) -> Path:
+    """A writable copy of the reference campaign directory."""
+    base, _ = reference_campaign
+    copy = tmp_path / "camp"
+    shutil.copytree(base, copy)
+    return copy
+
+
+def test_resume_of_finished_campaign_is_a_noop(reference_campaign, tmp_path):
+    camp = copy_of(reference_campaign, tmp_path)
+    before = _ledger_digest_of(camp)
+    schedule_before = (camp / "schedule.json").read_text()
+    status = resume_campaign(camp, workers=0)
+    assert status["counts"]["done"] == 3
+    assert _ledger_digest_of(camp) == before
+    assert (camp / "schedule.json").read_text() == schedule_before
 
 
 # ---------------------------------------------------------------------------
@@ -143,13 +125,13 @@ def test_resume_of_finished_campaign_is_a_noop(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_campaign_dir_binds_its_identity(tmp_path):
-    run_campaign(_spec(), _plan(), 2, tmp_path / "camp", workers=0)
+def test_campaign_dir_binds_its_identity(reference_campaign, tmp_path):
+    camp = copy_of(reference_campaign, tmp_path)
     with pytest.raises(CampaignError, match="epochs differs"):
-        run_campaign(_spec(), _plan(), 3, tmp_path / "camp", workers=0)
+        run_campaign(campaign_spec(), campaign_plan(), 4, camp, workers=0)
     with pytest.raises(CampaignError, match="plan differs"):
         run_campaign(
-            _spec(), _plan(seed=99), 2, tmp_path / "camp", workers=0
+            campaign_spec(), campaign_plan(seed=99), 3, camp, workers=0
         )
 
 
@@ -163,9 +145,9 @@ def test_resume_requires_a_campaign_dir(tmp_path):
 def test_base_spec_must_not_carry_evolution(tmp_path):
     from repro.campaigns.evolution import evolve_spec
 
-    evolved = evolve_spec(_spec(), _plan(), 1)
+    evolved = evolve_spec(campaign_spec(), campaign_plan(), 1)
     with pytest.raises(CampaignError, match="evolution block"):
-        run_campaign(evolved, _plan(), 2, tmp_path / "camp", workers=0)
+        run_campaign(evolved, campaign_plan(), 2, tmp_path / "camp", workers=0)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +178,7 @@ def test_retry_recovers_from_transient_failures(tmp_path, monkeypatch):
         supervisor_mod, "run_pipeline", _FlakyPipeline(failures=2)
     )
     status = run_campaign(
-        _spec(), _plan(), 3, tmp_path / "camp", workers=0,
+        campaign_spec(), campaign_plan(), 3, tmp_path / "camp", workers=0,
         policy=CampaignPolicy(max_attempts=3),
     )
     assert status["counts"]["done"] == 3
@@ -205,17 +187,17 @@ def test_retry_recovers_from_transient_failures(tmp_path, monkeypatch):
     assert entry["error"] is None
 
 
-def test_abort_policy_stops_and_resume_completes(tmp_path, monkeypatch):
+def test_abort_policy_stops_and_resume_completes(
+    reference_campaign, tmp_path, monkeypatch
+):
     real_pipeline = supervisor_mod.run_pipeline
-    control = run_campaign(
-        _spec(), _plan(), 3, tmp_path / "control", workers=0
-    )
+    control_dir, control = reference_campaign
     monkeypatch.setattr(
         supervisor_mod, "run_pipeline", _FlakyPipeline(failures=99)
     )
     with pytest.raises(CampaignError, match="epoch 1 failed after 2"):
         run_campaign(
-            _spec(), _plan(), 3, tmp_path / "camp", workers=0,
+            campaign_spec(), campaign_plan(), 3, tmp_path / "camp", workers=0,
             policy=CampaignPolicy(
                 failure_policy="abort", max_attempts=2
             ),
@@ -231,7 +213,7 @@ def test_abort_policy_stops_and_resume_completes(tmp_path, monkeypatch):
     assert resumed["counts"]["done"] == 3
     assert _epoch_digests(resumed) == _epoch_digests(control)
     assert _ledger_digest_of(tmp_path / "camp") == _ledger_digest_of(
-        tmp_path / "control"
+        control_dir
     )
 
 
@@ -240,7 +222,7 @@ def test_skip_policy_marks_and_moves_on(tmp_path, monkeypatch):
         supervisor_mod, "run_pipeline", _FlakyPipeline(failures=99)
     )
     status = run_campaign(
-        _spec(), _plan(), 3, tmp_path / "camp", workers=0,
+        campaign_spec(), campaign_plan(), 3, tmp_path / "camp", workers=0,
         policy=CampaignPolicy(failure_policy="skip", max_attempts=2),
     )
     assert status["counts"]["done"] == 2
@@ -259,7 +241,7 @@ def test_corrupt_epoch_manifest_is_quarantined(tmp_path):
     poisoned = camp / "epoch-000"
     poisoned.mkdir(parents=True)
     (poisoned / "manifest.json").write_text("{not json")
-    status = run_campaign(_spec(), _plan(), 2, camp, workers=0)
+    status = run_campaign(campaign_spec(), campaign_plan(), 2, camp, workers=0)
     assert status["counts"]["done"] == 2
     aside = camp / "quarantine" / "epoch-000.attempt-1"
     assert aside.is_dir()
@@ -272,10 +254,13 @@ def test_corrupt_epoch_manifest_is_quarantined(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_deadline_degrades_late_epochs_deterministically(tmp_path):
+def test_deadline_degrades_late_epochs_deterministically(
+    reference_campaign, tmp_path
+):
     policy = CampaignPolicy(deadline=0.0, degrade_rate=0.5)
     status = run_campaign(
-        _spec(), _plan(), 2, tmp_path / "camp", workers=0, policy=policy
+        campaign_spec(), campaign_plan(), 2, tmp_path / "camp", workers=0,
+        policy=policy,
     )
     assert status["counts"]["done"] == 2
     sample = {"rate": 0.5, "seed": SEED}
@@ -295,18 +280,17 @@ def test_deadline_degrades_late_epochs_deterministically(tmp_path):
         row["degraded"] == {"asn_sample": sample} for row in rows
     )
     # The sample is a strict, deterministic subset of the full scan.
-    full = run_campaign(
-        _spec(), _plan(), 1, tmp_path / "full", workers=0
-    )
+    full_dir, _ = reference_campaign
     degraded_targets = json.loads(
         (tmp_path / "camp" / "epoch-000" / "results.json").read_text()
     )["headline"]["v4"]["targeted_asns"]
     full_targets = json.loads(
-        (tmp_path / "full" / "epoch-000" / "results.json").read_text()
+        (full_dir / "epoch-000" / "results.json").read_text()
     )["headline"]["v4"]["targeted_asns"]
     assert 0 < degraded_targets < full_targets
     again = run_campaign(
-        _spec(), _plan(), 2, tmp_path / "again", workers=0, policy=policy
+        campaign_spec(), campaign_plan(), 2, tmp_path / "again", workers=0,
+        policy=policy,
     )
     assert _epoch_digests(again) == _epoch_digests(status)
 
@@ -314,7 +298,7 @@ def test_deadline_degrades_late_epochs_deterministically(tmp_path):
 def test_degrade_decision_is_frozen_in_the_schedule(tmp_path):
     """A resumed campaign replays the recorded decision, not the clock."""
     run_campaign(
-        _spec(), _plan(), 2, tmp_path / "camp", workers=0,
+        campaign_spec(), campaign_plan(), 2, tmp_path / "camp", workers=0,
         policy=CampaignPolicy(deadline=0.0, degrade_rate=0.5),
     )
     schedule = json.loads(
@@ -343,45 +327,33 @@ def test_degrade_decision_is_frozen_in_the_schedule(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+#: The reference campaign, run in a child process from the repo root.
 _CHILD = """
 import sys
-from repro.core import ScanConfig
-from repro.core.pipeline import CampaignSpec
-from repro.campaigns import EvolutionPlan, ResolverChurn, \
-    SavRemediation, run_campaign
+from repro.campaigns import run_campaign
+from tests.conftest import CAMPAIGN_EPOCHS, campaign_plan, campaign_spec
 
-spec = CampaignSpec.from_scan_config(
-    seed={seed}, n_ases={n_ases}, shards=2, partition="modulo",
-    config=ScanConfig(duration={duration}),
+run_campaign(
+    campaign_spec(), campaign_plan(), CAMPAIGN_EPOCHS, sys.argv[1], workers=0
 )
-plan = EvolutionPlan(seed=3, name="drill", clauses=(
-    ResolverChurn(rate=0.05), SavRemediation(rate=0.1),
-))
-run_campaign(spec, plan, {epochs}, sys.argv[1], workers=0)
 """
 
 
-def test_sigkill_mid_epoch_resumes_byte_identical(tmp_path):
-    """SIGKILL the supervisor mid-epoch; resume must converge exactly."""
-    control = run_campaign(
-        _spec(), _plan(), 4, tmp_path / "control", workers=0
-    )
+def test_sigkill_mid_epoch_resumes_byte_identical(
+    reference_campaign, tmp_path
+):
+    """SIGKILL the supervisor mid-epoch; resume must converge exactly
+    to the uninterrupted reference campaign."""
+    control_dir, control = reference_campaign
     camp = tmp_path / "camp"
     child = subprocess.Popen(
-        [
-            sys.executable,
-            "-c",
-            _CHILD.format(
-                seed=SEED, n_ases=N_ASES, duration=DURATION, epochs=4
-            ),
-            str(camp),
-        ],
+        [sys.executable, "-c", _CHILD, str(camp)],
         env={**os.environ, "PYTHONPATH": "src"},
         cwd=Path(__file__).resolve().parents[2],
     )
     try:
-        # Kill as soon as epoch 2 starts — mid-pipeline, with epochs
-        # 0/1 done and 3 never attempted.
+        # Kill as soon as the last epoch starts — mid-pipeline, with
+        # epochs 0/1 done.
         deadline = time.monotonic() + 120
         while not (camp / "epoch-002" / "manifest.json").exists():
             if child.poll() is not None or time.monotonic() > deadline:
@@ -392,30 +364,26 @@ def test_sigkill_mid_epoch_resumes_byte_identical(tmp_path):
         child.wait()
     assert (camp / "schedule.json").exists()
     interrupted = campaign_status(camp)
-    assert interrupted["counts"]["done"] < 4
+    assert interrupted["counts"]["done"] < CAMPAIGN_EPOCHS
     status = resume_campaign(camp, workers=0)
-    assert status["counts"]["done"] == 4
+    assert status["counts"]["done"] == CAMPAIGN_EPOCHS
     assert _epoch_digests(status) == _epoch_digests(control)
-    assert _ledger_digest_of(camp) == _ledger_digest_of(
-        tmp_path / "control"
-    )
+    assert _ledger_digest_of(camp) == _ledger_digest_of(control_dir)
     # Per-epoch results artifacts byte-identical to the uninterrupted
     # campaign's (modulo the wall-clock provenance field).
-    for name in ("epoch-000", "epoch-001", "epoch-002", "epoch-003"):
+    for epoch in range(CAMPAIGN_EPOCHS):
+        name = f"epoch-{epoch:03d}"
         a = json.loads((camp / name / "results.json").read_text())
-        b = json.loads(
-            (tmp_path / "control" / name / "results.json").read_text()
-        )
+        b = json.loads((control_dir / name / "results.json").read_text())
         a["provenance"].pop("wall_seconds", None)
         b["provenance"].pop("wall_seconds", None)
         assert a == b, f"{name} diverged after crash-resume"
 
 
-def test_schedule_survives_torn_write(tmp_path):
+def test_schedule_survives_torn_write(reference_campaign, tmp_path):
     """A stale schedule tmp file never shadows the real schedule."""
-    run_campaign(_spec(), _plan(), 1, tmp_path / "camp", workers=0)
-    schedule = tmp_path / "camp" / "schedule.json"
-    torn = schedule.with_suffix(".json.tmp99999")
+    camp = copy_of(reference_campaign, tmp_path)
+    torn = (camp / "schedule.json").with_suffix(".json.tmp99999")
     torn.write_text("{torn")
-    status = resume_campaign(tmp_path / "camp", workers=0)
-    assert status["counts"]["done"] == 1
+    status = resume_campaign(camp, workers=0)
+    assert status["counts"]["done"] == CAMPAIGN_EPOCHS

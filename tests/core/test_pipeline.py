@@ -1,12 +1,14 @@
 """The staged campaign pipeline: shard-merge equivalence, artifact
 serialization round trips, and resume semantics.
 
-The expensive campaigns (one single-process baseline, one 4-shard
-pipeline run) execute once per module and are shared read-only.
+The clean star world's 1-shard and 4-shard runs (``tests/conftest.py``)
+are shared read-only; a test that resumes or corrupts the 4-shard run
+works on a copy.
 """
 
 import json
 import shutil
+from dataclasses import replace
 
 import pytest
 
@@ -24,36 +26,20 @@ from repro.core.qname import Channel
 from repro.core.sources import SourceCategory
 from repro.netsim.packet import TCPSignature
 
-SEED = 7
-N_ASES = 40
-DURATION = 40.0
+from ..conftest import CLEAN_N_ASES, CLEAN_SEED, clean_spec, minus_provenance
 
 
-def minus_provenance(results: dict) -> dict:
-    return {k: v for k, v in results.items() if k != "provenance"}
+@pytest.fixture
+def baseline_results(clean_star_one):
+    """results_dict of the clean star world in one shard."""
+    return clean_star_one[1].results
 
 
-@pytest.fixture(scope="module")
-def baseline_results():
-    """results_dict of the classic single-process campaign."""
-    campaign = Campaign.run_default(
-        seed=SEED, n_ases=N_ASES, duration=DURATION
-    )
-    return campaign.results_dict()
-
-
-@pytest.fixture(scope="module")
-def sharded(tmp_path_factory):
-    """A 4-shard pipeline run with persisted artifacts."""
-    spec = CampaignSpec.from_scan_config(
-        seed=SEED,
-        n_ases=N_ASES,
-        shards=4,
-        config=ScanConfig(duration=DURATION),
-    )
-    run_dir = tmp_path_factory.mktemp("pipeline-run")
-    outcome = run_pipeline(spec, run_dir=run_dir, workers=0)
-    return spec, run_dir, outcome
+@pytest.fixture
+def sharded(clean_star_four):
+    """(spec, run_dir, outcome) of the clean star world in 4 shards."""
+    run_dir, outcome = clean_star_four
+    return clean_spec(4), run_dir, outcome
 
 
 # -- shard-merge equivalence ----------------------------------------------
@@ -86,8 +72,8 @@ def test_provenance_records_sharding(baseline_results, sharded):
     assert baseline_results["schema_version"] == 3
     assert baseline_results["provenance"]["shards"] == 1
     assert outcome.results["provenance"]["shards"] == 4
-    assert outcome.results["provenance"]["seed"] == SEED
-    assert outcome.results["provenance"]["n_ases"] == N_ASES
+    assert outcome.results["provenance"]["seed"] == CLEAN_SEED
+    assert outcome.results["provenance"]["n_ases"] == CLEAN_N_ASES
 
 
 def test_provenance_records_run_identity(baseline_results, sharded):
@@ -99,7 +85,7 @@ def test_provenance_records_run_identity(baseline_results, sharded):
     for results in (baseline_results, outcome.results):
         provenance = results["provenance"]
         assert provenance["scenario_content_key"] == content_key(
-            ScenarioParams(seed=SEED, n_ases=N_ASES)
+            ScenarioParams(seed=CLEAN_SEED, n_ases=CLEAN_N_ASES)
         )
         assert provenance["topology"] == "star"
         assert provenance["fault_plan_digest"] is None
@@ -127,17 +113,17 @@ def test_pipeline_ledger_hook_records_run(sharded, tmp_path):
     from repro.obs.ledger import Ledger
 
     spec, run_dir, outcome = sharded
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
     ledger_dir = tmp_path / "ledger"
     # The run is complete, so this is the served-from-disk path — the
     # ledger hook must fire there too.
-    again = run_pipeline(
-        spec, run_dir=run_dir, workers=0, ledger=ledger_dir
-    )
+    again = run_pipeline(spec, run_dir=copy, workers=0, ledger=ledger_dir)
     assert again.stages_run == []
     payload = Ledger(ledger_dir).load()
     assert len(payload["rows"]) == 1
     row = payload["rows"][0]
-    assert row["run"] == str(run_dir.resolve())
+    assert row["run"] == str(copy.resolve())
     assert row["shards"] == 4
     assert row["scenario_key"] == (
         outcome.results["provenance"]["scenario_content_key"]
@@ -145,12 +131,8 @@ def test_pipeline_ledger_hook_records_run(sharded, tmp_path):
 
 
 def test_ledger_without_run_dir_is_an_error():
-    spec = CampaignSpec.from_scan_config(
-        seed=SEED, n_ases=N_ASES, shards=1,
-        config=ScanConfig(duration=DURATION),
-    )
     with pytest.raises(ValueError, match="ledger requires"):
-        run_pipeline(spec, ledger="somewhere")
+        run_pipeline(clean_spec(1), ledger="somewhere")
 
 
 def test_shard_counters_sum_to_campaign_totals(sharded):
@@ -180,12 +162,16 @@ def test_run_default_delegates_to_pipeline():
 # -- resume ----------------------------------------------------------------
 
 
-def test_completed_run_resumes_from_artifacts_alone(sharded, monkeypatch):
+def test_completed_run_resumes_from_artifacts_alone(
+    sharded, monkeypatch, tmp_path
+):
     _, run_dir, outcome = sharded
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
     monkeypatch.setattr(
         pipeline_module, "run_scan_shard", _refuse_to_scan
     )
-    resumed = resume_pipeline(run_dir, workers=0)
+    resumed = resume_pipeline(copy, workers=0)
     assert resumed.campaign is None
     assert resumed.stages_run == []
     assert set(pipeline_module.STAGES) <= set(resumed.stages_skipped)
@@ -237,12 +223,7 @@ def test_resume_runs_only_missing_shards(sharded, monkeypatch, tmp_path):
 
 def test_run_directory_refuses_spec_mismatch(sharded):
     _, run_dir, _ = sharded
-    other = CampaignSpec.from_scan_config(
-        seed=SEED + 1,
-        n_ases=N_ASES,
-        shards=4,
-        config=ScanConfig(duration=DURATION),
-    )
+    other = replace(clean_spec(4), seed=CLEAN_SEED + 1)
     with pytest.raises(ValueError, match="refusing to reuse"):
         run_pipeline(other, run_dir=run_dir, workers=0)
 

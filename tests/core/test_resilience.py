@@ -2,8 +2,11 @@
 zero-fault identity guarantee, shard-count invariance of faulted runs,
 and crash-tolerant shard scanning.
 
-Campaigns here are small (40 ASes, 40 simulated seconds) but real: the
-expensive baselines run once per module and are shared read-only.
+Campaigns here are small (40 ASes, 40 simulated seconds) but real.  The
+lossless baseline is the clean star world of ``tests/conftest.py``,
+shared read-only with other modules; the faulted runs are shared within
+this one.  Shard-count invariance under faults reads the matrix world's
+cells (``tests/conftest.py``).
 """
 
 import io
@@ -23,22 +26,18 @@ from repro.core.pipeline import (
     resume_pipeline,
     run_pipeline,
 )
-from repro.netsim.faults import (
-    BurstLoss,
-    Duplicate,
-    FaultPlan,
-    Reorder,
-    ShardCrash,
-)
-from repro.obs.export import deterministic_counters
+from repro.netsim.faults import BurstLoss, FaultPlan, ShardCrash
 from repro.obs.progress import ProgressReporter
 from repro.obs.stream import RunStream, validate_stream_events
 from repro.obs.watch import run_watch
 from repro.scenarios import MEASUREMENT_ASN
 
-SEED = 7
-N_ASES = 40
-DURATION = 40.0
+from ..conftest import (
+    CLEAN_DURATION as DURATION,
+    CLEAN_N_ASES as N_ASES,
+    CLEAN_SEED as SEED,
+    minus_provenance,
+)
 
 #: Outbound burst loss on the measurement AS: every probe (but nothing
 #: else) flips a 50/50 coin, so single-shot scans visibly under-count
@@ -51,8 +50,7 @@ BURST_PLAN = FaultPlan(
 
 
 def spec_for(
-    *, shards=1, retries=0, faults=None, journal=False, retry_budget=None,
-    metrics=False,
+    *, shards=1, retries=0, faults=None, retry_budget=None
 ) -> CampaignSpec:
     return CampaignSpec.from_scan_config(
         seed=SEED,
@@ -63,8 +61,6 @@ def spec_for(
             max_retries=retries,
             retry_budget=retry_budget,
         ),
-        metrics=metrics,
-        journal=journal,
         faults=faults.to_payload() if faults is not None else None,
     )
 
@@ -77,10 +73,6 @@ def reach(results: dict) -> int:
     )
 
 
-def minus_provenance(results: dict) -> dict:
-    return {k: v for k, v in results.items() if k != "provenance"}
-
-
 def scenario_sources(run_dir, shards: int = 4) -> set[str]:
     """How each shard's worker obtained its world (shard timings)."""
     return {
@@ -91,10 +83,10 @@ def scenario_sources(run_dir, shards: int = 4) -> set[str]:
     }
 
 
-@pytest.fixture(scope="module")
-def baseline():
+@pytest.fixture
+def baseline(clean_star_one):
     """The lossless (builtin 10% loss only) single-shot campaign."""
-    return run_pipeline(spec_for(), workers=0).results
+    return clean_star_one[1].results
 
 
 @pytest.fixture(scope="module")
@@ -181,40 +173,16 @@ def test_zero_fault_plan_is_byte_identical_to_no_plan(baseline):
     assert "resilience" not in results["provenance"]
 
 
-def test_faulted_retried_run_is_shard_invariant(tmp_path):
+def test_faulted_retried_run_is_shard_invariant(cell, reference):
     """Byte-identical results.json *and* events.ndjson, and equal
     deterministic telemetry counters, 1 vs 4 shards, under a plan
     composing loss, reordering, and duplication plus the full retry
     machinery."""
-    plan = FaultPlan(
-        seed=3,
-        name="chaos",
-        clauses=[
-            BurstLoss(rate=0.5, src_asn=MEASUREMENT_ASN),
-            Reorder(rate=0.2, jitter=0.3),
-            Duplicate(rate=0.1, delay=0.05),
-        ],
-    )
-    artifacts = {}
-    for shards in (1, 4):
-        run_dir = tmp_path / f"shards-{shards}"
-        outcome = run_pipeline(
-            spec_for(shards=shards, retries=3, faults=plan, journal=True,
-                     metrics=True),
-            run_dir=run_dir,
-            workers=0,
-        )
-        results = json.loads((run_dir / "results.json").read_text())
-        results.pop("provenance")
-        artifacts[shards] = (
-            json.dumps(results, indent=2),
-            (run_dir / "events.ndjson").read_bytes(),
-            deterministic_counters(outcome.telemetry),
-        )
-    assert artifacts[1][0] == artifacts[4][0]
-    assert artifacts[1][1] == artifacts[4][1]
-    assert artifacts[1][2] == artifacts[4][2]
-    assert artifacts[1][2]["scan_probes_retransmitted_total"][0][1] > 0
+    single = cell("shards=1")
+    assert single.results() == reference.results()
+    assert single.journal() == reference.journal()
+    assert single.counters() == reference.counters()
+    assert single.counters()["scan_probes_retransmitted_total"][0][1] > 0
 
 
 def test_faults_json_artifact_written(tmp_path):

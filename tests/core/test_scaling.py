@@ -1,14 +1,12 @@
-"""Scaling invariants: the fast paths must be invisible in the artifacts.
+"""Scaling paths: spawned workers, the shard-cache keys that caches
+written by earlier releases hit, and the skip-ahead loop's shard
+equivalence on the matrix world (``tests/conftest.py``).
 
-Every performance lever this pipeline grew — the skip-ahead event loop,
-probe-weighted partitioning, build-once scenario sharing, the scenario
-cache — is only admissible because the run artifacts stay byte-identical
-to the slow path.  These tests pin that equivalence on a faulted,
-journaled, 4-shard campaign.
+Dense loop, partition and the scenario cache are cells of
+``tests/invariants/test_matrix.py``.
 """
 
 import json
-from dataclasses import asdict
 
 import pytest
 
@@ -17,112 +15,21 @@ from repro.core.pipeline import CampaignSpec, run_pipeline
 from repro.core.scanner import ScanConfig
 
 SEED = 13
-N_ASES = 24
 DURATION = 40.0
-
-FAULTS = {
-    "schema_version": 1,
-    "seed": 3,
-    "name": "scaling",
-    "clauses": [
-        {"kind": "burst-loss", "rate": 0.2},
-        {"kind": "reorder", "rate": 0.1, "jitter": 0.2},
-    ],
-}
-
-
-def spec_with(*, skip_ahead: bool, shards: int = 4, partition: str = "weighted"):
-    # max_retries without a retry budget: budget-free retry handling is
-    # the configuration under which shard merges are order-independent.
-    config = ScanConfig(
-        duration=DURATION, max_retries=1, skip_ahead=skip_ahead
-    )
-    return CampaignSpec(
-        seed=SEED,
-        n_ases=N_ASES,
-        shards=shards,
-        partition=partition,
-        journal=True,
-        faults=FAULTS,
-        scan=asdict(config),
-    )
-
-
-def run(tmp_path, name, spec, **kwargs):
-    run_dir = tmp_path / name
-    run_pipeline(spec, run_dir=run_dir, workers=0, **kwargs)
-    results = json.loads((run_dir / "results.json").read_text())
-    del results["provenance"]
-    events = (run_dir / "events.ndjson").read_bytes()
-    return results, events
-
-
-@pytest.fixture(scope="module")
-def sparse_run(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("scaling")
-    return run(tmp, "sparse", spec_with(skip_ahead=True))
-
-
-class TestSkipAheadEquivalence:
-    """Satellite: sparse and dense loops produce identical artifacts."""
-
-    def test_dense_loop_matches(self, sparse_run, tmp_path):
-        dense = run(tmp_path, "dense", spec_with(skip_ahead=False))
-        assert dense[0] == sparse_run[0]
-        assert dense[1] == sparse_run[1]
-
-    def test_single_shard_matches(self, sparse_run, tmp_path):
-        single = run(tmp_path, "single", spec_with(skip_ahead=True, shards=1))
-        assert single[0] == sparse_run[0]
-        assert single[1] == sparse_run[1]
-
-    def test_modulo_partition_matches(self, sparse_run, tmp_path):
-        modulo = run(
-            tmp_path,
-            "modulo",
-            spec_with(skip_ahead=True, partition="modulo"),
-        )
-        assert modulo[0] == sparse_run[0]
-        assert modulo[1] == sparse_run[1]
-
-
-class TestScenarioCacheEquivalence:
-    """Satellite: a cache-hit run is byte-identical to a cold build."""
-
-    def test_warm_run_matches_cold(self, sparse_run, tmp_path):
-        cache = tmp_path / "cache"
-        cold = run(
-            tmp_path, "cold", spec_with(skip_ahead=True), scenario_cache=cache
-        )
-        assert list(cache.glob("scenario-*.bin")), "cold run must fill cache"
-        warm = run(
-            tmp_path, "warm", spec_with(skip_ahead=True), scenario_cache=cache
-        )
-        assert cold[0] == sparse_run[0]
-        assert warm[0] == cold[0]
-        assert warm[1] == cold[1]
-
-
-def test_weighted_partition_balances_probes(tmp_path):
-    """LPT partitioning must spread planned probes across shards."""
-    spec = spec_with(skip_ahead=True)
-    run_dir = tmp_path / "balance"
-    run_pipeline(spec, run_dir=run_dir, workers=0)
-    planned = [
-        json.loads((run_dir / f"shard-{i:03d}.json").read_text())["metadata"][
-            "probes_scheduled"
-        ]
-        for i in range(4)
-    ]
-    assert sum(planned) > 0
-    # The heaviest shard may exceed the lightest by at most the largest
-    # single AS; for this world that is far under 2x.
-    assert max(planned) < 2 * min(planned)
 
 
 def shard_source(run_dir, shard_id: int) -> str:
     artifact = json.loads((run_dir / f"shard-{shard_id:03d}.json").read_text())
     return artifact["timings"]["scenario_source"]
+
+
+class TestSkipAheadEquivalence:
+    """The skip-ahead loop's artifacts do not depend on the sharding."""
+
+    def test_single_shard_matches(self, cell, reference):
+        single = cell("shards=1")
+        assert single.results() == reference.results()
+        assert single.journal() == reference.journal()
 
 
 def test_spawned_workers_build_their_own_world(tmp_path, monkeypatch):

@@ -2,74 +2,39 @@
 metric slice, the telemetry.json artifact, and the guarantee that
 collecting metrics never perturbs campaign results.
 
-One metrics-on 1-shard run, one metrics-on 4-shard run, and one
-metrics-off baseline execute once per module and are shared read-only.
+The clean star world's 1-shard and 4-shard runs and the matrix world's
+cells (``tests/conftest.py``) are shared read-only.
 """
 
 import json
+import shutil
 
-import pytest
-
-from repro.core import ScanConfig
-from repro.core.pipeline import CampaignSpec, RunDirectory, run_pipeline
+from repro.core.pipeline import RunDirectory, run_pipeline
 from repro.obs.export import (
     deterministic_counters,
     load_telemetry,
     validate_telemetry,
 )
 
-SEED = 7
-N_ASES = 40
-DURATION = 40.0
-
-
-def minus_provenance(results: dict) -> dict:
-    return {k: v for k, v in results.items() if k != "provenance"}
-
-
-def spec_for(shards: int, metrics: bool = True) -> CampaignSpec:
-    return CampaignSpec.from_scan_config(
-        seed=SEED,
-        n_ases=N_ASES,
-        shards=shards,
-        config=ScanConfig(duration=DURATION),
-        metrics=metrics,
-    )
-
-
-@pytest.fixture(scope="module")
-def one_shard(tmp_path_factory):
-    run_dir = tmp_path_factory.mktemp("telemetry-one")
-    return run_dir, run_pipeline(spec_for(1), run_dir=run_dir, workers=0)
-
-
-@pytest.fixture(scope="module")
-def four_shard(tmp_path_factory):
-    run_dir = tmp_path_factory.mktemp("telemetry-four")
-    return run_dir, run_pipeline(spec_for(4), run_dir=run_dir, workers=0)
-
-
-@pytest.fixture(scope="module")
-def metrics_off():
-    return run_pipeline(spec_for(1, metrics=False), workers=0)
+from ..conftest import CLEAN_SEED, clean_spec
 
 
 # -- the deterministic shard-merge contract --------------------------------
 
 
 def test_four_shard_deterministic_slice_matches_one_shard(
-    one_shard, four_shard
+    clean_star_one, clean_star_four
 ):
-    _, o1 = one_shard
-    _, o4 = four_shard
+    _, o1 = clean_star_one
+    _, o4 = clean_star_four
     d1 = deterministic_counters(o1.telemetry)
     d4 = deterministic_counters(o4.telemetry)
     assert d1 == d4
 
 
-def test_deterministic_slice_actually_covers_the_campaign(one_shard):
+def test_deterministic_slice_actually_covers_the_campaign(clean_star_one):
     """Guard against the equivalence passing vacuously."""
-    _, outcome = one_shard
+    _, outcome = clean_star_one
     slice_ = deterministic_counters(outcome.telemetry)
     assert any(
         name.startswith("fabric_drops_total") for name in slice_
@@ -79,8 +44,8 @@ def test_deterministic_slice_actually_covers_the_campaign(one_shard):
     assert slice_["resolver_task_sim_seconds"][0][1]["count"] > 0
 
 
-def test_nondeterministic_metrics_are_flagged(one_shard):
-    _, outcome = one_shard
+def test_nondeterministic_metrics_are_flagged(clean_star_one):
+    _, outcome = clean_star_one
     flags = {
         family["name"]: family["deterministic"]
         for family in outcome.telemetry["metrics"]["metrics"]
@@ -107,18 +72,18 @@ def test_nondeterministic_metrics_are_flagged(one_shard):
 # -- the telemetry artifact ------------------------------------------------
 
 
-def test_telemetry_json_written_and_valid(one_shard, four_shard):
-    for run_dir, outcome in (one_shard, four_shard):
+def test_telemetry_json_written_and_valid(clean_star_one, clean_star_four):
+    for run_dir, outcome in (clean_star_one, clean_star_four):
         path = RunDirectory(run_dir).telemetry_path
         assert path.exists()
         payload = load_telemetry(path)
         validate_telemetry(payload)
         assert payload == outcome.telemetry
-        assert payload["spec"]["seed"] == SEED
+        assert payload["spec"]["seed"] == CLEAN_SEED
 
 
-def test_span_tree_covers_pipeline_stages(one_shard):
-    _, outcome = one_shard
+def test_span_tree_covers_pipeline_stages(clean_star_one):
+    _, outcome = clean_star_one
     roots = outcome.telemetry["spans"]["spans"]
     assert [r["name"] for r in roots] == ["pipeline"]
     stage_names = [c["name"] for c in roots[0]["children"]]
@@ -130,8 +95,8 @@ def test_span_tree_covers_pipeline_stages(one_shard):
     assert [c["name"] for c in shard_spans[0]["children"]] == ["build", "run"]
 
 
-def test_four_shard_span_tree_grafts_every_shard(four_shard):
-    _, outcome = four_shard
+def test_four_shard_span_tree_grafts_every_shard(clean_star_four):
+    _, outcome = clean_star_four
     scan = outcome.telemetry["spans"]["spans"][0]["children"][1]
     shards = sorted(
         c["attrs"]["shard"]
@@ -141,8 +106,8 @@ def test_four_shard_span_tree_grafts_every_shard(four_shard):
     assert shards == [0, 1, 2, 3]
 
 
-def test_shard_artifacts_carry_telemetry(four_shard):
-    run_dir, _ = four_shard
+def test_shard_artifacts_carry_telemetry(clean_star_four):
+    run_dir, _ = clean_star_four
     rd = RunDirectory(run_dir)
     for shard_id in range(4):
         artifact = json.loads(rd.shard_path(shard_id).read_text())
@@ -154,44 +119,32 @@ def test_shard_artifacts_carry_telemetry(four_shard):
 # -- results are never perturbed -------------------------------------------
 
 
-def test_results_identical_with_metrics_on_and_off(one_shard, metrics_off):
-    _, on = one_shard
-    a = json.dumps(minus_provenance(on.results), sort_keys=True)
-    b = json.dumps(minus_provenance(metrics_off.results), sort_keys=True)
-    assert a == b
+def test_results_identical_with_metrics_on_and_off(cell, reference):
+    assert cell("metrics=False").results() == reference.results()
 
 
-def test_metrics_off_produces_no_telemetry(metrics_off, tmp_path):
-    assert metrics_off.telemetry is None
-    spec = spec_for(1, metrics=False)
-    outcome = run_pipeline(spec, run_dir=tmp_path / "off", workers=0)
-    assert outcome.telemetry is None
-    assert not RunDirectory(tmp_path / "off").telemetry_path.exists()
+def test_metrics_off_produces_no_telemetry(cell):
+    off = cell("metrics=False")
+    assert off.outcome.telemetry is None
+    assert not RunDirectory(off.run_dir).telemetry_path.exists()
 
 
-def test_resume_serves_telemetry_from_disk(one_shard):
-    run_dir, first = one_shard
-    again = run_pipeline(spec_for(1), run_dir=run_dir, workers=0)
+def test_resume_serves_telemetry_from_disk(clean_star_one, tmp_path):
+    run_dir, first = clean_star_one
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    again = run_pipeline(clean_spec(1), run_dir=copy, workers=0)
     assert again.stages_run == []
     assert again.telemetry == first.telemetry
 
 
-def test_metrics_and_journal_coexist(tmp_path, metrics_off):
+def test_metrics_and_journal_coexist(cell, reference):
     """Telemetry and the probe journal are independent observers: both
-    on at once still leaves results identical to the bare baseline."""
-    spec = CampaignSpec.from_scan_config(
-        seed=SEED,
-        n_ases=N_ASES,
-        shards=1,
-        config=ScanConfig(duration=DURATION),
-        metrics=True,
-        journal=True,
-    )
-    outcome = run_pipeline(spec, run_dir=tmp_path, workers=0)
-    rd = RunDirectory(tmp_path)
+    on at once (the matrix reference) still leaves results identical to
+    a run with either one off."""
+    rd = RunDirectory(reference.run_dir)
     assert rd.telemetry_path.exists()
     assert rd.events_path.exists()
     validate_telemetry(load_telemetry(rd.telemetry_path))
-    a = json.dumps(minus_provenance(outcome.results), sort_keys=True)
-    b = json.dumps(minus_provenance(metrics_off.results), sort_keys=True)
-    assert a == b
+    for off in ("metrics=False", "journal=False"):
+        assert cell(off).results() == reference.results()

@@ -22,13 +22,11 @@ from repro.netsim.faults import (
 from repro.netsim.topology import TopologySpec
 from repro.scenarios import FIRST_TARGET_ASN, build_internet
 
+from ..conftest import minus_provenance
+
 SEED = 5
 N_ASES = 24
 DURATION = 30.0
-
-
-def minus_provenance(results: dict) -> dict:
-    return {k: v for k, v in results.items() if k != "provenance"}
 
 
 @pytest.fixture(scope="module")
@@ -71,26 +69,28 @@ def spec_with_bgp_faults():
     return make
 
 
+@pytest.fixture(scope="module")
+def faulted_single(spec_with_bgp_faults):
+    """The faulted tiered campaign in one shard."""
+    return run_pipeline(spec_with_bgp_faults(1), workers=0)
+
+
 def test_faulted_tiered_campaign_is_shard_invariant(
-    spec_with_bgp_faults, tmp_path
+    spec_with_bgp_faults, faulted_single, tmp_path
 ):
-    single = run_pipeline(
-        spec_with_bgp_faults(1), run_dir=tmp_path / "s1", workers=0
-    )
     sharded = run_pipeline(
         spec_with_bgp_faults(4), run_dir=tmp_path / "s4", workers=0
     )
-    a = json.dumps(minus_provenance(single.results), indent=2)
+    a = json.dumps(minus_provenance(faulted_single.results), indent=2)
     b = json.dumps(minus_provenance(sharded.results), indent=2)
     assert a == b
 
 
-def test_bgp_faults_actually_bite(spec_with_bgp_faults, tmp_path):
+def test_bgp_faults_actually_bite(
+    spec_with_bgp_faults, faulted_single, tmp_path
+):
     """The equivalence above must not hold vacuously: the same campaign
     without the fault plan classifies differently."""
-    faulted = run_pipeline(
-        spec_with_bgp_faults(1), run_dir=tmp_path / "f", workers=0
-    )
     spec = spec_with_bgp_faults(1)
     clean = CampaignSpec.from_scan_config(
         seed=SEED,
@@ -100,6 +100,6 @@ def test_bgp_faults_actually_bite(spec_with_bgp_faults, tmp_path):
         topology=spec.topology,
     )
     baseline = run_pipeline(clean, run_dir=tmp_path / "c", workers=0)
-    assert minus_provenance(faulted.results) != minus_provenance(
+    assert minus_provenance(faulted_single.results) != minus_provenance(
         baseline.results
     )

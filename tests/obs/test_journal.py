@@ -1,8 +1,10 @@
 """Probe forensics: journal round-trip, deterministic shard merge, the
 results-are-untouched guarantee, and causal reconstruction via explain.
 
-One journaled 1-shard run, one journaled 4-shard run, and one
-journal-off baseline execute once per module and are shared read-only.
+One journaled 1-shard run and one journaled 4-shard run execute once
+per module and are shared read-only.  The journal-off checks read the
+matrix world's ``journal=False`` cell and reference
+(``tests/conftest.py``).
 """
 
 import json
@@ -39,17 +41,13 @@ N_ASES = 15
 DURATION = 40.0
 
 
-def minus_provenance(results: dict) -> dict:
-    return {k: v for k, v in results.items() if k != "provenance"}
-
-
-def spec_for(shards: int, journal: bool = True) -> CampaignSpec:
+def spec_for(shards: int) -> CampaignSpec:
     return CampaignSpec.from_scan_config(
         seed=SEED,
         n_ases=N_ASES,
         shards=shards,
         config=ScanConfig(duration=DURATION),
-        journal=journal,
+        journal=True,
     )
 
 
@@ -63,11 +61,6 @@ def one_shard(tmp_path_factory):
 def four_shard(tmp_path_factory):
     run_dir = tmp_path_factory.mktemp("journal-four")
     return run_dir, run_pipeline(spec_for(4), run_dir=run_dir, workers=0)
-
-
-@pytest.fixture(scope="module")
-def journal_off():
-    return run_pipeline(spec_for(1, journal=False), workers=0)
 
 
 @pytest.fixture(scope="module")
@@ -368,16 +361,13 @@ def test_classification_pass_matches_the_direct_algorithm(
 # -- results are never perturbed --------------------------------------------
 
 
-def test_results_identical_with_journal_on_and_off(one_shard, journal_off):
-    _, on = one_shard
-    a = json.dumps(minus_provenance(on.results), sort_keys=True)
-    b = json.dumps(minus_provenance(journal_off.results), sort_keys=True)
-    assert a == b
+def test_results_identical_with_journal_on_and_off(cell, reference):
+    assert cell("journal=False").results() == reference.results()
 
 
-def test_journal_off_writes_no_events(tmp_path):
-    run_pipeline(spec_for(1, journal=False), run_dir=tmp_path, workers=0)
-    assert not RunDirectory(tmp_path).events_path.exists()
+def test_journal_off_writes_no_events(cell):
+    off = cell("journal=False")
+    assert not RunDirectory(off.run_dir).events_path.exists()
 
 
 def test_journal_requires_run_dir():

@@ -26,6 +26,8 @@ from repro.obs.stream import (
 )
 from repro.obs.watch import run_watch
 
+from ..conftest import minus_provenance
+
 SRC = str(Path(__file__).parents[2] / "src")
 
 
@@ -241,14 +243,25 @@ def test_run_health_counts_only_the_latest_attempt():
 
 
 # ---------------------------------------------------------------------------
-# pipeline integration: determinism and shard equivalence
+# pipeline integration: determinism and shard equivalence (stream-off is
+# the matrix world's stream=False cell)
 # ---------------------------------------------------------------------------
 
 
-def minus_provenance(results):
-    """Results payload without provenance, which records the spec
-    (and therefore whether streaming was on)."""
-    return {k: v for k, v in results.items() if k != "provenance"}
+def test_n_shard_stream_matches_single_shard(cell, reference):
+    single = cell("shards=1")
+    assert single.results() == reference.results()
+    assert single.stream_deltas() == reference.stream_deltas()
+    # Every shard's stream opens and closes cleanly, in the run's one
+    # stream file.
+    files = reference.run_dir.glob("telemetry-stream*")
+    assert [path.name for path in files] == [STREAM_FILE]
+    all_events = read_events(reference.run_dir / STREAM_FILE)
+    validate_stream_events(all_events)
+    for shard in range(reference.toggles["shards"]):
+        events = [e for e in all_events if e["shard"] == shard]
+        assert events[0]["kind"] == "stream.open"
+        assert events[-1]["kind"] == "stream.close"
 
 
 def run_streamed(
@@ -270,53 +283,6 @@ def run_streamed(
         faults=faults,
     )
     return run_pipeline(spec, run_dir=tmp_path / name, workers=workers)
-
-
-def accumulated_deterministic_deltas(run_dir):
-    """Fold a run's stream deltas and keep the deterministic slice."""
-    stream = RunStream(run_dir)
-    health = RunHealth()
-    for event in stream.poll():
-        health.absorb(event)
-    registry = health.registry()
-    payload = registry.to_payload()
-    slice_ = {}
-    for family in payload["metrics"]:
-        if family["name"].startswith("watch_"):
-            continue
-        # Deltas carry the deterministic flag end-to-end; only the
-        # shard-order-independent slice must match across shardings.
-        if not family.get("deterministic", True):
-            continue
-        if family["kind"] == "histogram":
-            slice_[family["name"]] = [
-                [labels, {"counts": v["counts"], "count": v["count"]}]
-                for labels, v in family["samples"]
-            ]
-        elif family["kind"] == "gauge":
-            continue
-        else:
-            slice_[family["name"]] = family["samples"]
-    return slice_
-
-
-def test_n_shard_stream_matches_single_shard(tmp_path):
-    single = run_streamed(tmp_path, "one", shards=1)
-    multi = run_streamed(tmp_path, "three", shards=3)
-    assert minus_provenance(single.results) == minus_provenance(multi.results)
-    one = accumulated_deterministic_deltas(tmp_path / "one")
-    three = accumulated_deterministic_deltas(tmp_path / "three")
-    assert one == three
-    # Every shard's stream opens and closes cleanly, in the run's one
-    # stream file.
-    files = (tmp_path / "three").glob("telemetry-stream*")
-    assert [path.name for path in files] == [STREAM_FILE]
-    all_events = read_events(tmp_path / "three" / STREAM_FILE)
-    validate_stream_events(all_events)
-    for shard in range(3):
-        events = [e for e in all_events if e["shard"] == shard]
-        assert events[0]["kind"] == "stream.open"
-        assert events[-1]["kind"] == "stream.close"
 
 
 BURST_LOSS = (

@@ -4,6 +4,7 @@ import io
 import json
 import time
 
+from repro.cli import main
 from repro.core.pipeline import CampaignSpec, run_pipeline
 from repro.core.scanner import ScanConfig
 from repro.obs.stream import (
@@ -103,6 +104,19 @@ def test_watch_prom_textfile_is_valid_prometheus(finished_run, tmp_path):
         assert root in families or bare in families
     assert any(f.startswith("watch_") for f in families)
     assert "scan_probes_sent_total" in families
+
+
+@pytest.mark.parametrize("flag", ["--interval", "--timeout"])
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+def test_watch_bad_interval_or_timeout_exits_two_with_one_line(
+    capsys, finished_run, flag, value
+):
+    """Refused before the first poll: nothing is rendered."""
+    assert main(["watch", str(finished_run), flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_watch_timeout_on_streamless_run(tmp_path):

@@ -1,14 +1,21 @@
 """Tests for the command-line interface."""
 
+import contextlib
 import hashlib
+import io
 import json
 import shutil
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.campaigns import supervisor
 from repro.cli import build_parser, main
 from repro.obs.journal import load_events, validate_events
+from repro.scenarios import compiled
 
 
 def test_lab_command(capsys):
@@ -52,6 +59,8 @@ def test_scan_command_small(capsys, tmp_path):
     assert "Table 3" in out
     assert "Table 4" in out
     assert "Reachable ASes" in out
+    # Metrics off, no run directory: no telemetry is built.
+    assert "Campaign telemetry" not in out
     import json
 
     data = json.loads(json_path.read_text())
@@ -157,12 +166,6 @@ def test_scan_quiet_suppresses_stderr_chatter(capsys, tmp_path):
     assert "Section 4: headline" in captured.out
 
 
-def test_scan_journal_requires_run_dir(capsys):
-    assert main(["scan", "--n-ases", "15", "--seed", "3",
-                 "--duration", "40", "--journal"]) == 2
-    assert "--run-dir" in capsys.readouterr().err
-
-
 def write_crash_plan(tmp_path, mode: str) -> Path:
     """Write a fault plan whose one clause crashes shard 1 once."""
     path = tmp_path / f"crash-{mode}.json"
@@ -175,59 +178,86 @@ def write_crash_plan(tmp_path, mode: str) -> Path:
     return path
 
 
-@pytest.mark.parametrize(
-    "flags",
-    [
-        pytest.param(["--duration", "0"], id="duration"),
-        pytest.param(["--retries", "-1"], id="retries"),
-        pytest.param(["--n-ases", "2"], id="n-ases"),
-        pytest.param(["--shards", "0"], id="shards"),
-        pytest.param(["--workers", "-1"], id="workers"),
-        pytest.param(
-            ["--shards", "2", "--workers", "2", "--hang-timeout", "0"],
-            id="hang-timeout",
-        ),
-        pytest.param(
-            ["--shards", "2", "--workers", "2", "--hang-timeout", "0.5"],
-            id="hang-timeout-floor",
-        ),
-        pytest.param(["--duration", "nan"], id="duration-nan"),
-        pytest.param(["--duration", "inf"], id="duration-inf"),
-        pytest.param(
-            ["--shards", "2", "--workers", "2", "--hang-timeout", "nan"],
-            id="hang-timeout-nan",
-        ),
-        pytest.param(
-            ["--shards", "2", "--workers", "2", "--hang-timeout", "inf"],
-            id="hang-timeout-inf",
-        ),
-        # FILE stands for an existing regular file.
-        pytest.param(["--run-dir", "FILE"], id="run-dir-file"),
-        pytest.param(["--resume", "FILE"], id="resume-file"),
-        pytest.param(["--scenario-cache", "FILE"], id="scenario-cache-file"),
-        pytest.param(["--ledger", "FILE"], id="ledger-file"),
-        # HANG_PLAN stands for a written plan that hangs shard 1.
-        pytest.param(
-            ["--shards", "2", "--workers", "2", "--faults", "HANG_PLAN"],
-            id="hang-crash-without-hang-timeout",
-        ),
-    ],
-)
-def test_scan_bad_input_exits_two_with_one_line(capsys, tmp_path, flags):
-    run_dir = tmp_path / "run"
+def fill_placeholders(flags: list[str], tmp_path) -> list[str]:
+    """Replace FILE with an existing regular file, HANG_PLAN with a
+    written plan that hangs shard 1, and DIR with a path that does not
+    exist yet."""
     regular_file = tmp_path / "file"
     regular_file.write_text("not a directory\n")
     placeholders = {
         "FILE": str(regular_file),
         "HANG_PLAN": str(write_crash_plan(tmp_path, "hang")),
+        "DIR": str(tmp_path / "dir"),
     }
-    flags = [placeholders.get(flag, flag) for flag in flags]
-    # --run-dir comes first, so a --run-dir in *flags* overrides it.
-    assert main(["scan", "--run-dir", str(run_dir), *flags]) == 2
-    err = capsys.readouterr().err
+    return [placeholders.get(flag, flag) for flag in flags]
+
+
+def assert_one_error_line(err: str) -> None:
     assert err.startswith("error:")
     assert len(err.splitlines()) == 1
+
+
+#: Bad ``scan`` values, each refused on its own, whatever the other
+#: flags, before a run directory exists.
+SCAN_BAD_INPUT = {
+    "duration": ["--duration", "0"],
+    "retries": ["--retries", "-1"],
+    "n-ases": ["--n-ases", "2"],
+    "shards": ["--shards", "0"],
+    "workers": ["--workers", "-1"],
+    "hang-timeout": ["--shards", "2", "--workers", "2", "--hang-timeout", "0"],
+    "hang-timeout-floor": [
+        "--shards", "2", "--workers", "2", "--hang-timeout", "0.5",
+    ],
+    "duration-nan": ["--duration", "nan"],
+    "duration-inf": ["--duration", "inf"],
+    "hang-timeout-nan": [
+        "--shards", "2", "--workers", "2", "--hang-timeout", "nan",
+    ],
+    "hang-timeout-inf": [
+        "--shards", "2", "--workers", "2", "--hang-timeout", "inf",
+    ],
+    "run-dir-file": ["--run-dir", "FILE"],
+    "resume-file": ["--resume", "FILE"],
+    "scenario-cache-file": ["--scenario-cache", "FILE"],
+    "ledger-file": ["--ledger", "FILE"],
+    "hang-crash-without-hang-timeout": [
+        "--shards", "2", "--workers", "2", "--faults", "HANG_PLAN",
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "flags", list(SCAN_BAD_INPUT.values()), ids=list(SCAN_BAD_INPUT)
+)
+def test_scan_bad_input_exits_two_with_one_line(capsys, tmp_path, flags):
+    run_dir = tmp_path / "run"
+    flags = fill_placeholders(flags, tmp_path)
+    # --run-dir comes first, so a --run-dir in *flags* overrides it.
+    assert main(["scan", "--run-dir", str(run_dir), *flags]) == 2
+    assert_one_error_line(capsys.readouterr().err)
     assert not run_dir.exists()
+
+
+#: Flags that write into the run directory, refused without one.
+NEEDS_RUN_DIR = {
+    "journal": ["--journal"],
+    "snapshots": ["--snapshots"],
+    "profile": ["--profile"],
+    "ledger": ["--ledger", "DIR"],
+}
+
+
+@pytest.mark.parametrize(
+    "flags", list(NEEDS_RUN_DIR.values()), ids=list(NEEDS_RUN_DIR)
+)
+def test_scan_needs_run_dir_exits_two_with_one_line(capsys, tmp_path, flags):
+    flags = fill_placeholders(flags, tmp_path)
+    assert main(["scan", "--n-ases", "12", *flags]) == 2
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "requires a run directory" in err
+    assert not (tmp_path / "dir").exists()
 
 
 def test_scan_crash_plan_without_run_dir_exits_two(capsys, tmp_path):
@@ -238,9 +268,8 @@ def test_scan_crash_plan_without_run_dir_exits_two(capsys, tmp_path):
                  "30", "--shards", "2", "--workers", "2", "--faults",
                  str(plan), "--quiet"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:")
+    assert_one_error_line(err)
     assert "run directory" in err
-    assert len(err.splitlines()) == 1
 
 
 #: sha256 of the default star topology's results minus provenance at
@@ -501,13 +530,6 @@ def observatory_cli_base(tmp_path_factory):
     return base
 
 
-def test_scan_ledger_requires_run_dir(capsys):
-    assert main(["scan", "--n-ases", "12", "--ledger", "/tmp/x",
-                 "--quiet"]) == 2
-    err = capsys.readouterr().err
-    assert "--ledger requires --run-dir" in err
-
-
 def test_ledger_command_lists_runs(capsys, observatory_cli_base):
     import json as json_module
 
@@ -678,27 +700,46 @@ def test_campaign_rejects_bad_plan(capsys, tmp_path):
     assert "--plan" in capsys.readouterr().err
 
 
-def test_campaign_rejects_too_few_ases_before_any_epoch(capsys, tmp_path):
-    plan = tmp_path / "plan.json"
-    plan.write_text(
-        json.dumps(
-            {
-                "schema_version": 1,
-                "seed": 3,
-                "name": "tiny",
-                "clauses": [{"kind": "resolver-churn", "rate": 0.1}],
-            }
-        )
-    )
+WHAC_A_MOLE = (
+    Path(__file__).parents[1] / "examples" / "evolution" / "whac-a-mole.json"
+)
+
+#: Bad ``campaign run`` values, each refused on its own before the
+#: campaign directory exists.
+CAMPAIGN_BAD_INPUT = {
+    "epochs-zero": ["--epochs", "0"],
+    "epochs-negative": ["--epochs", "-1"],
+    "workers": ["--workers", "-1"],
+    "backoff-inf": ["--backoff", "inf"],
+    "backoff-nan": ["--backoff", "nan"],
+    "deadline-nan": ["--deadline", "nan"],
+    "n-ases": ["--n-ases", "2"],
+}
+
+
+@pytest.mark.parametrize(
+    "flags", list(CAMPAIGN_BAD_INPUT.values()), ids=list(CAMPAIGN_BAD_INPUT)
+)
+def test_campaign_run_bad_input_exits_two_with_one_line(
+    capsys, tmp_path, flags
+):
     camp = tmp_path / "camp"
     assert main([
-        "campaign", "run", str(camp), "--plan", str(plan),
-        "--epochs", "2", "--n-ases", "2", "--quiet",
+        "campaign", "run", str(camp), "--plan", str(WHAC_A_MOLE),
+        "--epochs", "2", "--n-ases", "12", "--duration", "10", "--quiet",
+        *flags,
     ]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert len(err.splitlines()) == 1
+    assert_one_error_line(capsys.readouterr().err)
     assert not camp.exists()
+
+
+def test_campaign_resume_refuses_bad_workers(capsys, campaign_cli_dir):
+    schedule = (campaign_cli_dir / "schedule.json").read_bytes()
+    assert main([
+        "campaign", "resume", str(campaign_cli_dir), "--workers", "-1",
+    ]) == 2
+    assert_one_error_line(capsys.readouterr().err)
+    assert (campaign_cli_dir / "schedule.json").read_bytes() == schedule
 
 
 def test_ledger_with_empty_rows_exits_two(capsys, tmp_path):
@@ -711,3 +752,102 @@ def test_ledger_with_empty_rows_exits_two(capsys, tmp_path):
     assert "no rows" in capsys.readouterr().err
     assert main(["trend", str(tmp_path)]) == 2
     assert "no rows" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# drawn flag combinations: valid flags around bad values
+# ---------------------------------------------------------------------------
+
+
+def flag(name: str, values) -> st.SearchStrategy:
+    return values.map(lambda value: [name, str(value)])
+
+
+SCAN_VALID = st.one_of(
+    flag("--seed", st.integers(0, 99)),
+    flag("--n-ases", st.integers(8, 30)),
+    flag("--duration", st.sampled_from([5, 12.5, 40])),
+    flag("--shards", st.integers(1, 4)),
+    flag("--workers", st.integers(0, 2)),
+    flag("--retries", st.integers(0, 3)),
+    flag("--topology", st.sampled_from(["star", "tiered"])),
+    st.just(["--metrics"]),
+    st.just(["--quiet"]),
+)
+
+CAMPAIGN_VALID = st.one_of(
+    flag("--seed", st.integers(0, 99)),
+    flag("--n-ases", st.integers(8, 30)),
+    flag("--duration", st.sampled_from([5, 12.5, 40])),
+    flag("--shards", st.integers(1, 3)),
+    flag("--workers", st.integers(0, 2)),
+    flag("--partition", st.sampled_from(["weighted", "modulo"])),
+    flag("--failure-policy", st.sampled_from(["abort", "skip"])),
+    flag("--max-attempts", st.integers(1, 3)),
+    flag("--backoff", st.sampled_from([0, 0.5])),
+    flag("--deadline", st.sampled_from([0, 60])),
+    flag("--degrade-rate", st.sampled_from([0.25, 1])),
+    st.just(["--no-incremental"]),
+)
+
+
+@st.composite
+def bad_scan_argv(draw) -> list[str]:
+    """Valid ``scan`` flags, then one to three bad values (last, so no
+    valid flag overrides one)."""
+    argv = ["scan"]
+    cases = dict(SCAN_BAD_INPUT)
+    if draw(st.booleans()):
+        argv += ["--run-dir", "DIR"]
+        argv += sum(draw(st.lists(st.sampled_from(
+            [["--journal"], ["--snapshots"]]), max_size=2)), [])
+    else:
+        cases.update(NEEDS_RUN_DIR)
+    argv += sum(draw(st.lists(SCAN_VALID, max_size=5)), [])
+    bad = draw(st.lists(st.sampled_from(sorted(cases)), min_size=1,
+                        max_size=3))
+    return argv + sum((cases[name] for name in bad), [])
+
+
+@st.composite
+def bad_campaign_argv(draw) -> list[str]:
+    """Valid ``campaign run`` flags, then one to three bad values."""
+    argv = ["campaign", "run", "DIR", "--plan", str(WHAC_A_MOLE),
+            "--epochs", "2", "--quiet"]
+    argv += sum(draw(st.lists(CAMPAIGN_VALID, max_size=5)), [])
+    bad = draw(st.lists(st.sampled_from(sorted(CAMPAIGN_BAD_INPUT)),
+                        min_size=1, max_size=3))
+    return argv + sum((CAMPAIGN_BAD_INPUT[name] for name in bad), [])
+
+
+def assert_refused_up_front(argv: list[str]) -> None:
+    """*argv* exits 2 with one ``error:`` line, starts no scan and
+    leaves no directory behind."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        argv = fill_placeholders(argv, tmp)
+        before = sorted(tmp.iterdir())
+        err = io.StringIO()
+        refuse = AssertionError(f"{argv} started a scan")
+        with mock.patch.object(compiled, "build_or_load",
+                               side_effect=refuse), \
+                mock.patch.object(supervisor, "run_pipeline",
+                                  side_effect=refuse), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == 2, argv
+        assert_one_error_line(err.getvalue())
+        assert sorted(tmp.iterdir()) == before, argv
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(argv=bad_scan_argv())
+def test_drawn_bad_scan_flags_exit_two_with_one_line(argv):
+    assert_refused_up_front(argv)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(argv=bad_campaign_argv())
+def test_drawn_bad_campaign_flags_exit_two_with_one_line(argv):
+    assert_refused_up_front(argv)
