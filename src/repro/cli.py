@@ -60,12 +60,14 @@ def _resume_mismatches(
     args: argparse.Namespace, faults_payload
 ) -> list[str]:
     """Explicitly-passed scan flags that contradict the recorded spec."""
-    from .core.pipeline import RunDirectory
+    from pathlib import Path
 
-    rd = RunDirectory(args.resume)
-    if not rd.manifest_path.exists():
+    from .core.pipeline import MANIFEST_FILE, RunDirectory
+
+    # Look before building the RunDirectory, which creates its path.
+    if not (Path(args.resume) / MANIFEST_FILE).exists():
         return []  # resume_pipeline reports the missing manifest
-    spec = rd.read_spec()
+    spec = RunDirectory(args.resume).read_spec()
     recorded = {
         "seed": spec.seed,
         "n_ases": spec.n_ases,

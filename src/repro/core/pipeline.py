@@ -327,6 +327,10 @@ def _check_version(payload: dict[str, Any], what: str) -> None:
         )
 
 
+#: The run directory's manifest; a directory without one is not a run.
+MANIFEST_FILE = "manifest.json"
+
+
 class RunDirectory:
     """Artifact store for one pipeline run.
 
@@ -343,7 +347,7 @@ class RunDirectory:
 
     @property
     def manifest_path(self) -> Path:
-        return self.path / "manifest.json"
+        return self.path / MANIFEST_FILE
 
     def shard_path(self, shard_id: int) -> Path:
         return self.path / f"shard-{shard_id:03d}.json"
@@ -1586,12 +1590,13 @@ def resume_pipeline(
     shard_cache=None,
 ) -> PipelineOutcome:
     """Resume the campaign recorded in *run_dir*'s manifest."""
-    rd = RunDirectory(run_dir)
-    if not rd.manifest_path.exists():
+    # Look before building the RunDirectory, which creates its path.
+    manifest = Path(run_dir) / MANIFEST_FILE
+    if not manifest.exists():
         raise FileNotFoundError(
-            f"{rd.manifest_path} not found: not a pipeline run directory"
+            f"{manifest} not found: not a pipeline run directory"
         )
-    spec = rd.read_spec()
+    spec = RunDirectory(run_dir).read_spec()
     return run_pipeline(
         spec,
         run_dir=run_dir,

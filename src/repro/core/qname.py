@@ -75,17 +75,42 @@ class ExperimentQueryName:
     channel: Channel
 
 
+#: Entries each address-label memo of a codec holds before it starts
+#: over, so a long scan cannot grow it without bound.
+_MEMO_LIMIT = 1 << 16
+
+
 @dataclass(frozen=True)
 class QueryNameCodec:
-    """Encoder/decoder bound to one experiment domain and keyword."""
+    """Encoder/decoder bound to one experiment domain and keyword.
+
+    The codec memoizes, per instance: the four channel base names, the
+    label text of each address it encodes and the address of each label
+    it decodes, and its last decode, which every authoritative query
+    log record's two observers (the collector and the scanner's
+    follow-up trigger) both ask for.  The memos are caches only: a
+    pickled codec carries its domain and keyword and starts empty.
+    """
 
     domain: Name
     keyword: str
 
     def __post_init__(self) -> None:
-        # The four channel bases are fixed for the codec's lifetime but
-        # consulted on every encode/decode; build each name once.
         object.__setattr__(self, "_channel_bases", {})
+        object.__setattr__(self, "_labels", {})
+        object.__setattr__(self, "_addresses", {})
+        #: [qname, decoded] of the last decode, keyed on identity: the
+        #: memo keeps the name alive, so a match is never a recycled
+        #: object.  It starts on a key no caller can pass.
+        object.__setattr__(self, "_last", [object(), None])
+
+    def __getstate__(self) -> dict:
+        return {"domain": self.domain, "keyword": self.keyword}
+
+    def __setstate__(self, state: dict) -> None:
+        object.__setattr__(self, "domain", state["domain"])
+        object.__setattr__(self, "keyword", state["keyword"])
+        self.__post_init__()
 
     def channel_base(self, channel: Channel) -> Name:
         """Return ``kw.<domain>`` or ``kw.<channel>.<domain>``."""
@@ -99,6 +124,24 @@ class QueryNameCodec:
         self._channel_bases[channel] = base
         return base
 
+    def _label(self, address: Address) -> str:
+        """:func:`encode_address`, memoized."""
+        label = self._labels.get(address)
+        if label is None:
+            if len(self._labels) >= _MEMO_LIMIT:
+                self._labels.clear()
+            label = self._labels[address] = encode_address(address)
+        return label
+
+    def _address(self, label: str) -> Address:
+        """:func:`decode_address`, memoized (a bad label raises anew)."""
+        address = self._addresses.get(label)
+        if address is None:
+            if len(self._addresses) >= _MEMO_LIMIT:
+                self._addresses.clear()
+            address = self._addresses[label] = decode_address(label)
+        return address
+
     def encode(
         self,
         timestamp: float,
@@ -109,13 +152,13 @@ class QueryNameCodec:
         channel: Channel = Channel.MAIN,
     ) -> Name:
         """Build the full experiment query name."""
-        base = self.channel_base(channel)
-        return (
-            base.child(f"a{asn}")
-            .child(f"d{encode_address(dst)}")
-            .child(f"s{encode_address(src)}")
-            .child(encode_timestamp(timestamp))
+        provenance = (
+            encode_timestamp(timestamp).encode("ascii"),
+            f"s{self._label(src)}".encode("ascii"),
+            f"d{self._label(dst)}".encode("ascii"),
+            f"a{asn}".encode("ascii"),
         )
+        return Name(provenance + self.channel_base(channel).labels)
 
     def decode(self, qname: Name) -> ExperimentQueryName | None:
         """Decode *qname* if it is a full experiment name; else ``None``.
@@ -124,6 +167,15 @@ class QueryNameCodec:
         such as ``kw.<domain>`` alone — return ``None``; use
         :meth:`minimized_channel` to recognize those.
         """
+        last = self._last
+        if last[0] is qname:
+            return last[1]
+        decoded = self._decode(qname)
+        last[0] = qname
+        last[1] = decoded
+        return decoded
+
+    def _decode(self, qname: Name) -> ExperimentQueryName | None:
         channel = self.channel_of(qname)
         if channel is None:
             return None
@@ -141,8 +193,8 @@ class QueryNameCodec:
             timestamp = decode_timestamp(ts_label)
             if not src_label.startswith("s") or not dst_label.startswith("d"):
                 return None
-            src = decode_address(src_label[1:])
-            dst = decode_address(dst_label[1:])
+            src = self._address(src_label[1:])
+            dst = self._address(dst_label[1:])
             if not asn_label.startswith("a"):
                 return None
             asn = int(asn_label[1:])

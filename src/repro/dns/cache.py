@@ -85,6 +85,8 @@ class Cache:
         A resolver honouring RFC 8020 answers NXDOMAIN for *qname*
         immediately when one of its ancestors is known not to exist.
         """
+        if not self._nxdomain_names:
+            return None
         now = self.clock()
         for ancestor in qname.ancestors():
             expiry = self._nxdomain_names.get(ancestor)

@@ -14,8 +14,19 @@ import enum
 import struct
 from dataclasses import dataclass, field, replace
 
-from .name import Name
-from .rr import RR, Opaque, Rdata, RRClass, RRType, decode_rdata
+from .name import ROOT, Name
+from .rr import (
+    CNAME,
+    NS,
+    PTR,
+    RR,
+    SOA,
+    Opaque,
+    Rdata,
+    RRClass,
+    RRType,
+    decode_rdata,
+)
 
 HEADER_STRUCT = struct.Struct("!HHHHHH")
 DEFAULT_UDP_PAYLOAD_SIZE = 512
@@ -88,6 +99,26 @@ class Flag(enum.IntFlag):
 #: does not re-run five IntFlag ``|`` operations.
 _HEADER_FLAG_MASK = int(Flag.QR | Flag.AA | Flag.TC | Flag.RD | Flag.RA)
 
+#: Header field values to their members, so decoding a header is three
+#: dict lookups rather than three enum calls.  A miss falls back to the
+#: enum call, which raises for an unassigned opcode or rcode.
+_OPCODES = {int(member): member for member in Opcode}
+_RCODES = {int(member): member for member in Rcode}
+_FLAGS = {
+    bits: Flag(bits)
+    for bits in range(_HEADER_FLAG_MASK + 1)
+    if bits & _HEADER_FLAG_MASK == bits
+}
+
+#: Flag bits as plain ints: ``&`` and ``|`` on ``IntFlag`` members
+#: build a new member through the enum machinery each time.
+_QR, _AA, _TC, _RD = int(Flag.QR), int(Flag.AA), int(Flag.TC), int(Flag.RD)
+
+_U16 = struct.Struct("!H")
+_QUESTION_TAIL = struct.Struct("!HH")
+_RR_HEAD = struct.Struct("!HHI")
+_RR_FIXED = struct.Struct("!HHIH")
+
 
 @dataclass(frozen=True)
 class Question:
@@ -106,26 +137,31 @@ class _Writer:
 
     def __init__(self) -> None:
         self.out = bytearray()
+        #: casefolded label suffix -> offset of its first encoding.
         self._offsets: dict[tuple[bytes, ...], int] = {}
 
-    def write_name(self, name_: Name, *, compress: bool = True) -> None:
+    def write_name(self, name_: Name) -> None:
+        out = self.out
+        offsets = self._offsets
         labels = name_.labels
         key = name_._key
-        while key:
-            if compress and key in self._offsets:
-                pointer = self._offsets[key]
-                self.out += struct.pack("!H", 0xC000 | pointer)
+        for index in range(len(labels)):
+            suffix = key[index:]
+            here = len(out)
+            # One lookup per suffix: record where it starts, or find
+            # where an earlier name already wrote it.  Offsets past
+            # 0x3FFF do not fit a pointer and are never recorded.
+            if here < 0x3FFF:
+                pointer = offsets.setdefault(suffix, here)
+            else:
+                pointer = offsets.get(suffix, here)
+            if pointer != here:
+                out += _U16.pack(0xC000 | pointer)
                 return
-            if len(self.out) < 0x3FFF:
-                self._offsets[key] = len(self.out)
-            label = labels[len(labels) - len(key)]
-            self.out.append(len(label))
-            self.out += label
-            key = key[1:]
-        self.out.append(0)
-
-    def write(self, data: bytes) -> None:
-        self.out += data
+            label = labels[index]
+            out.append(len(label))
+            out += label
+        out.append(0)
 
 
 @dataclass
@@ -161,28 +197,30 @@ class Message:
         flags = Flag.RD if recursion_desired else Flag(0)
         message = cls(msg_id, flags=flags, question=Question(qname, qtype))
         if edns:
-            message.additional.append(_make_opt(EDNS_UDP_PAYLOAD_SIZE))
+            message.additional.append(_EDNS_OPT)
         return message
 
     def make_response(self, *, authoritative: bool = False) -> "Message":
         """Build an empty response mirroring this query's ID and question."""
-        flags = Flag.QR
+        bits = _QR
         if authoritative:
-            flags |= Flag.AA
-        if self.flags & Flag.RD:
-            flags |= Flag.RD
-        response = Message(self.msg_id, flags=flags, question=self.question)
+            bits |= _AA
+        if int(self.flags) & _RD:
+            bits |= _RD
+        response = Message(
+            self.msg_id, flags=_FLAGS[bits], question=self.question
+        )
         if self.edns_payload_size() is not None:
-            response.additional.append(_make_opt(EDNS_UDP_PAYLOAD_SIZE))
+            response.additional.append(_EDNS_OPT)
         return response
 
     @property
     def is_response(self) -> bool:
-        return bool(self.flags & Flag.QR)
+        return int(self.flags) & _QR != 0
 
     @property
     def is_truncated(self) -> bool:
-        return bool(self.flags & Flag.TC)
+        return int(self.flags) & _TC != 0
 
     def truncated_copy(self) -> "Message":
         """Return a copy with TC set and the answer sections emptied."""
@@ -236,28 +274,30 @@ class Message:
 
     def to_wire(self) -> bytes:
         writer = _Writer()
+        out = writer.out
+        question = self.question
         flags_field = (
             int(self.flags) | (int(self.opcode) << 11) | int(self.rcode)
         )
-        writer.write(
-            HEADER_STRUCT.pack(
-                self.msg_id,
-                flags_field,
-                1 if self.question else 0,
-                len(self.answers),
-                len(self.authority),
-                len(self.additional),
-            )
+        out += HEADER_STRUCT.pack(
+            self.msg_id,
+            flags_field,
+            0 if question is None else 1,
+            len(self.answers),
+            len(self.authority),
+            len(self.additional),
         )
-        if self.question:
-            writer.write_name(self.question.qname)
-            writer.write(
-                struct.pack("!HH", self.question.qtype, self.question.qclass)
-            )
+        if question is not None:
+            writer.write_name(question.qname)
+            out += _QUESTION_TAIL.pack(question.qtype, question.qclass)
         for section in (self.answers, self.authority, self.additional):
             for rr in section:
-                _write_rr(writer, rr)
-        return bytes(writer.out)
+                writer.write_name(rr.name)
+                out += _RR_HEAD.pack(rr.rrtype, rr.rrclass, rr.ttl)
+                rdata = rr.rdata.to_wire()
+                out += _U16.pack(len(rdata))
+                out += rdata
+        return bytes(out)
 
     @classmethod
     def from_wire(cls, data: bytes) -> "Message":
@@ -275,16 +315,22 @@ class Message:
         (msg_id, flags_field, qdcount, ancount, nscount, arcount) = (
             HEADER_STRUCT.unpack_from(data, 0)
         )
-        opcode = Opcode((flags_field >> 11) & 0xF)
-        rcode = Rcode(flags_field & 0xF)
-        flags = Flag(flags_field & _HEADER_FLAG_MASK)
+        code = (flags_field >> 11) & 0xF
+        opcode = _OPCODES.get(code)
+        if opcode is None:
+            opcode = Opcode(code)
+        code = flags_field & 0xF
+        rcode = _RCODES.get(code)
+        if rcode is None:
+            rcode = Rcode(code)
+        flags = _FLAGS[flags_field & _HEADER_FLAG_MASK]
         offset = HEADER_STRUCT.size
         question = None
         if qdcount > 1:
             raise ValueError(f"unsupported qdcount: {qdcount}")
         if qdcount == 1:
             qname, offset = Name.from_wire(data, offset)
-            qtype, qclass = struct.unpack_from("!HH", data, offset)
+            qtype, qclass = _QUESTION_TAIL.unpack_from(data, offset)
             offset += 4
             question = Question(qname, qtype, qclass)
         message = cls(
@@ -318,55 +364,43 @@ class Message:
 def _make_opt(
     payload_size: int, options: list[tuple[int, bytes]] | None = None
 ) -> RR:
-    from .name import ROOT
-
     rdata = encode_edns_options(options) if options else b""
     return RR(ROOT, RRType.OPT, payload_size, 0, Opaque(RRType.OPT, rdata))
 
 
-def _write_rr(writer: _Writer, rr: RR) -> None:
-    writer.write_name(rr.name)
-    writer.write(struct.pack("!HHI", rr.rrtype, rr.rrclass, rr.ttl))
-    rdata = rr.rdata.to_wire()
-    writer.write(struct.pack("!H", len(rdata)))
-    writer.write(rdata)
+#: The OPT record of every query and response that carries no EDNS
+#: option.  ``RR`` and its rdata are frozen and :meth:`Message.
+#: set_edns_option` replaces the record rather than editing it, so the
+#: messages can share one.
+_EDNS_OPT = _make_opt(EDNS_UDP_PAYLOAD_SIZE)
+
+#: Rdata types that are exactly one (possibly compressed) name.
+_NAME_RDATA = {RRType.NS: NS, RRType.CNAME: CNAME, RRType.PTR: PTR}
+_SOA_TAIL = struct.Struct("!IIIII")
 
 
 def _read_rr(data: bytes, offset: int) -> tuple[RR, int]:
     owner, offset = Name.from_wire(data, offset)
-    rrtype, rrclass, ttl, rdlength = struct.unpack_from("!HHIH", data, offset)
+    rrtype, rrclass, ttl, rdlength = _RR_FIXED.unpack_from(data, offset)
     offset += 10
-    if offset + rdlength > len(data):
+    end = offset + rdlength
+    if end > len(data):
         raise ValueError("truncated rdata")
-    raw = data[offset : offset + rdlength]
-    offset += rdlength
-    if raw and rrtype in (RRType.NS, RRType.CNAME, RRType.PTR, RRType.SOA):
-        raw = _decompress_rdata_names(data, offset - rdlength, rrtype, raw)
-    if rrtype == RRType.OPT or not raw:
+    if rrtype == RRType.OPT or not rdlength:
         # OPT rdata is opaque; empty rdata appears in dynamic-update
         # delete-RRset entries (RFC 2136 §2.5.2) for any type.
-        rdata: Rdata = Opaque(rrtype, raw)
+        rdata: Rdata = Opaque(rrtype, data[offset:end])
+        if rrtype == RRType.OPT:
+            ttl = 0  # extended rcode/flags unused by the simulation
+    elif rrtype in _NAME_RDATA:
+        # Incoming messages may compress rdata names, so they are read
+        # against the whole message, once.
+        target, _ = Name.from_wire(data, offset)
+        rdata = _NAME_RDATA[rrtype](target)
+    elif rrtype == RRType.SOA:
+        mname, cursor = Name.from_wire(data, offset)
+        rname, cursor = Name.from_wire(data, cursor)
+        rdata = SOA(mname, rname, *_SOA_TAIL.unpack_from(data, cursor))
     else:
-        rdata = decode_rdata(rrtype, raw)
-    if rrtype == RRType.OPT:
-        ttl = 0  # extended rcode/flags unused by the simulation
-    return RR(owner, rrtype, rrclass, ttl, rdata), offset
-
-
-def _decompress_rdata_names(
-    message: bytes, rdata_offset: int, rrtype: int, raw: bytes
-) -> bytes:
-    """Rewrite compressed names inside rdata as uncompressed bytes.
-
-    Incoming messages may compress names in NS/CNAME/PTR/SOA rdata; the
-    typed decoders expect self-contained bytes, so resolve pointers
-    against the full message here.
-    """
-    if rrtype in (RRType.NS, RRType.CNAME, RRType.PTR):
-        target, _ = Name.from_wire(message, rdata_offset)
-        return target.to_wire()
-    # SOA: two names then five 32-bit integers.
-    mname, offset = Name.from_wire(message, rdata_offset)
-    rname, offset = Name.from_wire(message, offset)
-    tail = message[offset : offset + 20]
-    return mname.to_wire() + rname.to_wire() + tail
+        rdata = decode_rdata(rrtype, data[offset:end])
+    return RR(owner, rrtype, rrclass, ttl, rdata), end

@@ -31,7 +31,7 @@ class Name:
     name is the empty tuple of labels and renders as ``"."``.
     """
 
-    __slots__ = ("labels", "_key", "_hash")
+    __slots__ = ("labels", "_key")
 
     def __init__(self, labels: tuple[bytes, ...]) -> None:
         total = 0
@@ -141,20 +141,13 @@ class Name:
         return tuple(reversed(self._key)) < tuple(reversed(other._key))
 
     def __hash__(self) -> int:
-        # Names key the zone/record dicts consulted on every simulated
-        # query, so the tuple hash is computed once and memoized.
-        try:
-            return self._hash
-        except AttributeError:
-            value = hash(self._key)
-            self._hash = value
-            return value
+        # Not memoized: most names a query creates (parsed from wire,
+        # walked by ``ancestors``) are hashed once, and a memo slot
+        # would cost more on that first hash than hashing the key tuple
+        # (whose bytes cache their own hashes) costs every time.
+        return hash(self._key)
 
     def __getstate__(self):
-        # The memoized hash must never cross a pickle boundary: tuple
-        # hashes are salted per process (PYTHONHASHSEED), so a name
-        # unpickled with the builder's hash silently misses in every
-        # dict keyed by names created in the loading process.
         return (self.labels, self._key)
 
     def __setstate__(self, state) -> None:
@@ -188,15 +181,18 @@ class Name:
         the two pointer octets).
         """
         labels: list[bytes] = []
+        keys: list[bytes] = []
+        total = 1  # the root's zero octet
         cursor = offset
         consumed: int | None = None
         seen_pointers: set[int] = set()
+        end = len(data)
         while True:
-            if cursor >= len(data):
+            if cursor >= end:
                 raise NameError_("truncated name")
             length = data[cursor]
             if length & _POINTER_MASK == _POINTER_MASK:
-                if cursor + 1 >= len(data):
+                if cursor + 1 >= end:
                     raise NameError_("truncated compression pointer")
                 target = ((length & 0x3F) << 8) | data[cursor + 1]
                 if target in seen_pointers:
@@ -213,13 +209,20 @@ class Name:
             cursor += 1
             if length == 0:
                 break
-            if cursor + length > len(data):
+            if cursor + length > end:
                 raise NameError_("truncated label")
-            labels.append(data[cursor : cursor + length])
+            # A wire label is 1..63 octets by construction, so only the
+            # total length is left to check, once, after the last label.
+            label = data[cursor : cursor + length]
+            labels.append(label)
+            keys.append(label.lower())
+            total += length + 1
             cursor += length
+        if total > MAX_NAME_LENGTH:
+            raise NameError_(f"name too long: {total} octets")
         if consumed is None:
             consumed = cursor
-        return cls(tuple(labels)), consumed
+        return cls._from_validated(tuple(labels), tuple(keys)), consumed
 
 
 #: The root name, ``"."``.

@@ -130,12 +130,15 @@ class Zone:
         """Return a referral if an NS RRset sits strictly below the origin
         on the path from the origin to *qname* (exclusive of qname when
         the query is for the cut's own NS set)."""
-        # Walk from just below the origin down towards qname.
-        path = [a for a in qname.ancestors()]
-        path.reverse()  # root ... qname
-        for node in path:
-            if node == self.origin or not node.is_subdomain_of(self.origin):
-                continue
+        # Walk from just below the origin down towards qname: the
+        # ancestors of qname deeper than the origin, nearest it first.
+        depth = len(self.origin)
+        path = []
+        for node in qname.ancestors():
+            if len(node) <= depth:
+                break
+            path.append(node)
+        for node in reversed(path):
             ns_set = self._records.get((node, RRType.NS))
             if ns_set:
                 additional = self._glue_for(ns_set)

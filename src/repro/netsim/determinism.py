@@ -27,8 +27,10 @@ from random import Random
 __all__ = [
     "derive_rng",
     "derive_seed",
+    "prefixed_fraction",
     "stable_fraction",
     "stable_hash",
+    "stable_prefix",
     "stable_range",
 ]
 
@@ -40,11 +42,15 @@ def _encode_part(part) -> bytes:
 
     Each value is tagged with its type so e.g. the integer ``1`` and the
     string ``"1"`` never collide, and parts cannot run into each other.
+    An ``int`` subclass (an ``IntEnum`` or ``IntFlag`` member) encodes
+    by value, exactly like the plain ``int`` it equals: ``str()`` of a
+    member is ``"RRType.A"`` on some Python versions and ``"1"`` on
+    others.
     """
     if isinstance(part, bool):  # before int: bool is an int subclass
         return b"B" + (b"1" if part else b"0")
     if isinstance(part, int):
-        return b"I" + str(part).encode("ascii")
+        return b"I%d" % part
     if isinstance(part, bytes):
         return b"Y" + part
     if isinstance(part, str):
@@ -54,6 +60,27 @@ def _encode_part(part) -> bytes:
     raise TypeError(f"unhashable key part for stable_hash: {part!r}")
 
 
+def _encode(parts) -> bytes:
+    """Join the encodings of *parts* with the separator.
+
+    Per-packet keys are plain ints, bytes and str, so those three are
+    matched by exact type before the general :func:`_encode_part`;
+    both give the same bytes for them.
+    """
+    out = []
+    for part in parts:
+        kind = type(part)
+        if kind is int:
+            out.append(b"I%d" % part)
+        elif kind is bytes:
+            out.append(b"Y" + part)
+        elif kind is str:
+            out.append(b"S" + part.encode())
+        else:
+            out.append(_encode_part(part))
+    return _SEPARATOR.join(out)
+
+
 def stable_hash(*parts) -> int:
     """Hash *parts* (ints, bytes, str, floats) to a stable 64-bit int.
 
@@ -61,10 +88,32 @@ def stable_hash(*parts) -> int:
     value in every worker, which is what lets sharded runs reproduce the
     unsharded run's per-packet decisions exactly.
     """
-    digest = blake2b(
-        _SEPARATOR.join(_encode_part(p) for p in parts), digest_size=8
-    )
+    digest = blake2b(_encode(parts), digest_size=8)
     return int.from_bytes(digest.digest(), "big")
+
+
+def stable_prefix(*parts):
+    """Return a hash state primed with the leading key *parts*.
+
+    A caller that draws many keys sharing one constant prefix (a seed
+    and a purpose) primes it once and passes the state to
+    :func:`prefixed_fraction`.  The state is a ``blake2b`` object,
+    which does not pickle: keep it out of pickled state.
+    """
+    return blake2b(_encode(parts) + _SEPARATOR, digest_size=8)
+
+
+def prefixed_fraction(prefix, *parts) -> float:
+    """``stable_fraction(*prefix_parts, *parts)`` from a primed state.
+
+    *prefix* comes from :func:`stable_prefix`; *parts* must not be
+    empty, because the prefix already ends in a separator.
+    """
+    if not parts:
+        raise ValueError("prefixed_fraction needs at least one part")
+    state = prefix.copy()
+    state.update(_encode(parts))
+    return int.from_bytes(state.digest(), "big") / 2**64
 
 
 def stable_fraction(*parts) -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .addresses import Address, intern_address
 from .autonomous_system import AutonomousSystem, BorderVerdict
-from .determinism import stable_fraction
+from .determinism import prefixed_fraction, stable_prefix
 from .events import EventLoop
 from .packet import Packet
 from .routing import RoutingTable
@@ -150,6 +150,17 @@ class Fabric:
     #: optional fault injector (see :meth:`install_faults`); ``None``
     #: keeps the packet path at one attribute check per send.
     faults: object | None = field(default=None, repr=False)
+    #: hash state primed with the loss roll's constant ``(seed, "loss")``
+    #: key prefix; built on the first roll (until then the class default
+    #: ``None`` shows through) and never pickled.
+    _loss_prefix: object | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_loss_prefix", None)
+        return state
 
     def bind_metrics(self, registry) -> None:
         """Collect delivery/drop counters into *registry* from now on."""
@@ -451,9 +462,11 @@ class Fabric:
         Hashing the packet instead keeps the decision a pure function of
         (fabric seed, packet), so shard merges replay losses exactly.
         """
-        return stable_fraction(
-            self.seed,
-            "loss",
+        prefix = self._loss_prefix
+        if prefix is None:
+            prefix = self._loss_prefix = stable_prefix(self.seed, "loss")
+        return prefixed_fraction(
+            prefix,
             int(packet.src),
             int(packet.dst),
             packet.sport,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .addresses import Address
 
@@ -126,7 +126,22 @@ class Packet:
 
     def hop(self, count: int = 1) -> "Packet":
         """Return a copy of the packet after *count* border crossings."""
-        return replace(self, hops=self.hops + count)
+        # Every field, positionally in declaration order: this runs at
+        # every border crossing, where ``dataclasses.replace`` (a dict
+        # of field names) costs about three times as much.
+        return Packet(
+            self.src,
+            self.dst,
+            self.sport,
+            self.dport,
+            self.payload,
+            self.transport,
+            self.tcp_flags,
+            self.tcp_signature,
+            self.ttl,
+            self.hops + count,
+            self.packet_id,
+        )
 
     def flow(self) -> tuple[Address, int, Address, int, Transport]:
         """Return the 5-tuple identifying this packet's flow."""

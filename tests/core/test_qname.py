@@ -1,5 +1,6 @@
 """Unit and property tests for the experiment query-name codec."""
 
+import pickle
 from ipaddress import IPv4Address, IPv6Address, ip_address
 
 import pytest
@@ -120,3 +121,56 @@ def test_codec_roundtrip_property(ts_ms, src, dst, asn, channel):
     assert decoded.dst == dst
     assert decoded.asn == asn
     assert decoded.channel is channel
+
+
+@given(
+    st.integers(0, 10**9),
+    st.one_of(_v4, _v6),
+    st.one_of(_v4, _v6),
+    st.integers(1, 4_000_000_000),
+    st.sampled_from(list(Channel)),
+)
+def test_encode_matches_the_label_by_label_build(ts_ms, src, dst, asn, channel):
+    """The memoized one-step encode equals prepending each label in turn."""
+    expected = (
+        CODEC.channel_base(channel)
+        .child(f"a{asn}")
+        .child(f"d{encode_address(dst)}")
+        .child(f"s{encode_address(src)}")
+        .child(encode_timestamp(ts_ms / 1000.0))
+    )
+    qname = CODEC.encode(ts_ms / 1000.0, src, dst, asn, channel=channel)
+    assert qname.labels == expected.labels
+    assert qname == expected
+
+
+def test_decode_memo_serves_the_same_name_once():
+    codec = QueryNameCodec(name("dns-lab.org"), "bcd19")
+    qname = codec.encode(1.5, V4, V6, 64500)
+    first = codec.decode(qname)
+    assert codec.decode(qname) is first  # the second observer's call
+    # An equal name parsed afresh decodes to an equal result.
+    again = name(str(qname))
+    assert again is not qname
+    assert codec.decode(again) == first
+    assert codec.decode(name("unrelated.example")) is None
+    assert codec.decode(qname) == first
+
+
+def test_pickled_codec_leaves_its_memos_behind():
+    codec = QueryNameCodec(name("dns-lab.org"), "bcd19")
+    blank = pickle.dumps(codec)
+    for i in range(5):
+        qname = codec.encode(
+            float(i), V4, ip_address(f"20.0.0.{i + 1}"), 64500 + i,
+            channel=Channel.V6_ONLY,
+        )
+        assert codec.decode(qname) is not None
+    assert codec._labels and codec._addresses and codec._last[0] is not None
+    assert pickle.dumps(codec) == blank
+    loaded = pickle.loads(pickle.dumps(codec))
+    assert loaded == codec
+    assert not loaded._labels and not loaded._addresses
+    assert loaded._last[1] is None
+    qname = loaded.encode(9.0, V4, V6, 7)
+    assert loaded.decode(qname) == codec.decode(qname)

@@ -1,21 +1,36 @@
 """Unit and property tests for the DNS message wire codec."""
 
-from ipaddress import IPv4Address
+import struct
+from ipaddress import IPv4Address, IPv6Address
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dns.message import (
     DEFAULT_UDP_PAYLOAD_SIZE,
+    EDNS_COOKIE,
     EDNS_UDP_PAYLOAD_SIZE,
     Flag,
     Message,
     Opcode,
     Question,
     Rcode,
+    encode_edns_options,
 )
-from repro.dns.name import Name, name
-from repro.dns.rr import A, NS, RR, SOA, TXT, RRType
+from repro.dns.name import Name, NameError_, name
+from repro.dns.rr import (
+    A,
+    AAAA,
+    CNAME,
+    NS,
+    PTR,
+    RR,
+    SOA,
+    TXT,
+    Opaque,
+    RRType,
+    decode_rdata,
+)
 
 
 def sample_rrs():
@@ -218,3 +233,325 @@ def test_message_wire_roundtrip(msg_id, qname, qtype, answers, rcode, rd):
         assert got.name == expected.name
         assert got.ttl == expected.ttl
         assert got.rdata == expected.rdata
+
+
+# -- shared state: the no-option OPT record ---------------------------------
+
+
+def test_edns_option_on_one_query_leaves_another_untouched():
+    """Queries without options share one OPT record; setting an option
+    on one (the authoritative cookie path) must not reach the other."""
+    first = Message.make_query(1, name("a.example.org"), RRType.A)
+    second = Message.make_query(2, name("b.example.org"), RRType.A)
+    response = second.make_response()
+    first.set_edns_option(EDNS_COOKIE, b"\x01" * 8)
+    assert first.edns_options() == [(EDNS_COOKIE, b"\x01" * 8)]
+    assert second.edns_options() == []
+    assert response.edns_options() == []
+    assert Message.from_wire(second.to_wire()).edns_options() == []
+    assert second.edns_payload_size() == EDNS_UDP_PAYLOAD_SIZE
+
+
+# -- differential: the codec against the direct implementation --------------
+#
+# The codec below is the wire format written the direct way: a compression
+# walk that slices the key tuple per label, names built through the
+# validating constructor, header fields through enum calls, and NS/CNAME/
+# PTR/SOA rdata names decoded, re-encoded and decoded again.  The fast
+# codec must produce the same bytes and decode every input, valid or not,
+# to an equal message or the same exception class.
+
+
+def reference_name_from_wire(data: bytes, offset: int):
+    labels: list[bytes] = []
+    cursor = offset
+    consumed = None
+    seen_pointers: set[int] = set()
+    while True:
+        if cursor >= len(data):
+            raise NameError_("truncated name")
+        length = data[cursor]
+        if length & 0xC0 == 0xC0:
+            if cursor + 1 >= len(data):
+                raise NameError_("truncated compression pointer")
+            target = ((length & 0x3F) << 8) | data[cursor + 1]
+            if target in seen_pointers:
+                raise NameError_("compression pointer loop")
+            if target >= cursor:
+                raise NameError_("forward compression pointer")
+            seen_pointers.add(target)
+            if consumed is None:
+                consumed = cursor + 2
+            cursor = target
+            continue
+        if length & 0xC0:
+            raise NameError_(f"reserved label type: {length:#x}")
+        cursor += 1
+        if length == 0:
+            break
+        if cursor + length > len(data):
+            raise NameError_("truncated label")
+        labels.append(data[cursor : cursor + length])
+        cursor += length
+    if consumed is None:
+        consumed = cursor
+    return Name(tuple(labels)), consumed
+
+
+def reference_to_wire(message: Message) -> bytes:
+    out = bytearray()
+    offsets: dict = {}
+
+    def write_name(name_):
+        labels = name_.labels
+        key = name_._key
+        while key:
+            if key in offsets:
+                out.extend(struct.pack("!H", 0xC000 | offsets[key]))
+                return
+            if len(out) < 0x3FFF:
+                offsets[key] = len(out)
+            label = labels[len(labels) - len(key)]
+            out.append(len(label))
+            out.extend(label)
+            key = key[1:]
+        out.append(0)
+
+    flags_field = (
+        int(message.flags) | (int(message.opcode) << 11) | int(message.rcode)
+    )
+    out.extend(struct.pack(
+        "!HHHHHH",
+        message.msg_id,
+        flags_field,
+        1 if message.question else 0,
+        len(message.answers),
+        len(message.authority),
+        len(message.additional),
+    ))
+    if message.question:
+        write_name(message.question.qname)
+        out.extend(struct.pack(
+            "!HH", message.question.qtype, message.question.qclass
+        ))
+    for section in (message.answers, message.authority, message.additional):
+        for rr in section:
+            write_name(rr.name)
+            out.extend(struct.pack("!HHI", rr.rrtype, rr.rrclass, rr.ttl))
+            rdata = rr.rdata.to_wire()
+            out.extend(struct.pack("!H", len(rdata)))
+            out.extend(rdata)
+    return bytes(out)
+
+
+def _reference_read_rr(data: bytes, offset: int):
+    owner, offset = reference_name_from_wire(data, offset)
+    rrtype, rrclass, ttl, rdlength = struct.unpack_from("!HHIH", data, offset)
+    offset += 10
+    if offset + rdlength > len(data):
+        raise ValueError("truncated rdata")
+    raw = data[offset : offset + rdlength]
+    offset += rdlength
+    if raw and rrtype in (RRType.NS, RRType.CNAME, RRType.PTR, RRType.SOA):
+        start = offset - rdlength
+        if rrtype == RRType.SOA:
+            mname, cursor = reference_name_from_wire(data, start)
+            rname, cursor = reference_name_from_wire(data, cursor)
+            raw = mname.to_wire() + rname.to_wire() + data[cursor : cursor + 20]
+        else:
+            raw = reference_name_from_wire(data, start)[0].to_wire()
+    if rrtype == RRType.OPT or not raw:
+        rdata = Opaque(rrtype, raw)
+    else:
+        rdata = decode_rdata(rrtype, raw)
+    if rrtype == RRType.OPT:
+        ttl = 0
+    return RR(owner, rrtype, rrclass, ttl, rdata), offset
+
+
+def reference_from_wire(data: bytes) -> Message:
+    try:
+        if len(data) < 12:
+            raise ValueError("message shorter than header")
+        msg_id, flags_field, qdcount, ancount, nscount, arcount = (
+            struct.unpack_from("!HHHHHH", data, 0)
+        )
+        opcode = Opcode((flags_field >> 11) & 0xF)
+        rcode = Rcode(flags_field & 0xF)
+        flags = Flag(flags_field & 0x8780)
+        offset = 12
+        question = None
+        if qdcount > 1:
+            raise ValueError(f"unsupported qdcount: {qdcount}")
+        if qdcount == 1:
+            qname, offset = reference_name_from_wire(data, offset)
+            qtype, qclass = struct.unpack_from("!HH", data, offset)
+            offset += 4
+            question = Question(qname, qtype, qclass)
+        message = Message(
+            msg_id, flags=flags, opcode=opcode, rcode=rcode, question=question
+        )
+        for section, count in (
+            (message.answers, ancount),
+            (message.authority, nscount),
+            (message.additional, arcount),
+        ):
+            for _ in range(count):
+                rr, offset = _reference_read_rr(data, offset)
+                section.append(rr)
+        return message
+    except struct.error as exc:
+        raise ValueError(f"truncated message: {exc}") from exc
+
+
+#: Labels that share suffixes and differ in case, so compression pointers
+#: and case-insensitive suffix matches are common.
+_CASED_LABELS = st.sampled_from([
+    b"www", b"WWW", b"example", b"Example", b"org", b"ORG", b"ns1", b"a",
+    b"\x00\xff", b"k.w", b"x" * 40,
+])
+_wire_names = st.lists(_CASED_LABELS, max_size=4).map(
+    lambda labels: Name(tuple(labels))
+)
+_u32 = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def _rrs(draw):
+    rrtype = draw(st.sampled_from([
+        RRType.A, RRType.AAAA, RRType.NS, RRType.CNAME, RRType.PTR,
+        RRType.SOA, RRType.TXT, RRType.OPT, 99,
+    ]))
+    if rrtype == RRType.A:
+        rdata = A(IPv4Address(draw(_u32)))
+    elif rrtype == RRType.AAAA:
+        rdata = AAAA(IPv6Address(draw(st.integers(0, 2**128 - 1))))
+    elif rrtype in (RRType.NS, RRType.CNAME, RRType.PTR):
+        kind = {RRType.NS: NS, RRType.CNAME: CNAME, RRType.PTR: PTR}[rrtype]
+        rdata = kind(draw(_wire_names))
+    elif rrtype == RRType.SOA:
+        rdata = SOA(
+            draw(_wire_names), draw(_wire_names),
+            *(draw(_u32) for _ in range(5)),
+        )
+    elif rrtype == RRType.TXT:
+        rdata = TXT(tuple(draw(st.lists(st.binary(max_size=12), max_size=3))))
+    elif rrtype == RRType.OPT:
+        options = draw(st.lists(
+            st.tuples(st.integers(0, 0xFFFF), st.binary(max_size=10)),
+            max_size=2,
+        ))
+        rdata = Opaque(RRType.OPT, encode_edns_options(options))
+    else:
+        rdata = Opaque(rrtype, draw(st.binary(max_size=12)))
+    return RR(
+        draw(_wire_names),
+        rrtype,
+        draw(st.sampled_from([1, 3, 254, 255, 512, 4096])),
+        draw(st.integers(0, 0x7FFFFFFF)),
+        rdata,
+    )
+
+
+@st.composite
+def _messages(draw):
+    message = Message(
+        draw(st.integers(0, 0xFFFF)),
+        flags=Flag(draw(st.integers(0, 0x8780)) & 0x8780),
+        opcode=draw(st.sampled_from(list(Opcode))),
+        rcode=draw(st.sampled_from(list(Rcode))),
+        question=draw(st.none() | st.builds(
+            Question,
+            _wire_names,
+            st.integers(0, 0xFFFF),
+            st.sampled_from([1, 3, 255]),
+        )),
+    )
+    for section in (message.answers, message.authority, message.additional):
+        section.extend(draw(st.lists(_rrs(), max_size=3)))
+    return message
+
+
+def _decode_outcome(decode, wire: bytes):
+    """What *decode* makes of *wire*: the exception class it raised, or
+    the message, its re-encoding (label case included) and every owner
+    name's labels."""
+    try:
+        message = decode(wire)
+    except Exception as exc:  # the class is the outcome under test
+        return type(exc)
+    owners = [message.question.qname.labels] if message.question else []
+    for section in (message.answers, message.authority, message.additional):
+        owners.extend(rr.name.labels for rr in section)
+    return message, reference_to_wire(message), owners
+
+
+@settings(max_examples=300, deadline=None)
+@given(message=_messages())
+def test_to_wire_matches_the_direct_encoder(message):
+    assert message.to_wire() == reference_to_wire(message)
+
+
+@settings(max_examples=400, deadline=None)
+@given(message=_messages(), data=st.data())
+def test_from_wire_matches_the_direct_decoder(message, data):
+    """Intact, bit-flipped, truncated, or both, a quarter each."""
+    wire = bytearray(reference_to_wire(message))
+    if data.draw(st.booleans()):
+        for _ in range(data.draw(st.integers(1, 3))):
+            bit = data.draw(st.integers(0, len(wire) * 8 - 1))
+            wire[bit // 8] ^= 1 << (bit % 8)
+    if data.draw(st.booleans()):
+        wire = wire[: data.draw(st.integers(0, len(wire) - 1))]
+    wire = bytes(wire)
+    assert _decode_outcome(Message.from_wire, wire) == _decode_outcome(
+        reference_from_wire, wire
+    )
+
+
+def test_every_header_flags_field_matches_the_direct_decoder():
+    """All 2**16 flags fields, unassigned opcodes and rcodes included."""
+    for flags_field in range(0x10000):
+        wire = struct.pack("!HHHHHH", 7, flags_field, 0, 0, 0, 0)
+        assert _decode_outcome(Message.from_wire, wire) == _decode_outcome(
+            reference_from_wire, wire
+        ), hex(flags_field)
+
+
+@pytest.mark.parametrize("compressed", [False, True])
+@pytest.mark.parametrize("last", [59, 60, 61, 62, 63])
+def test_name_length_limit_matches_the_direct_decoder(compressed, last):
+    """Names around the 255-octet limit: three 63-octet labels plus one
+    of *last* octets, written out or reached through a pointer."""
+    labels = [b"a" * 63, b"b" * 63, b"c" * 63, b"d" * last]
+    plain = b"".join(bytes([len(x)]) + x for x in labels) + b"\x00"
+    if compressed:
+        # The tail label sits first in the buffer; the name at offset
+        # ``start`` spells the first three labels and points back at it.
+        tail = bytes([last]) + labels[3] + b"\x00"
+        head = b"".join(bytes([len(x)]) + x for x in labels[:3])
+        data, start = tail + head + b"\xc0\x00", len(tail)
+    else:
+        data, start = plain, 0
+
+    def outcome(decode):
+        try:
+            found, end = decode(data, start)
+        except Exception as exc:
+            return type(exc)
+        return found.labels, found._key, end
+
+    assert outcome(Name.from_wire) == outcome(reference_name_from_wire)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.binary(max_size=80), offset=st.integers(0, 79))
+def test_name_from_wire_matches_the_direct_decoder(data, offset):
+    def outcome(decode):
+        try:
+            found, end = decode(data, offset)
+        except Exception as exc:
+            return type(exc)
+        return found.labels, found._key, end
+
+    assert outcome(Name.from_wire) == outcome(reference_name_from_wire)

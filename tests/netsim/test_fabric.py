@@ -1,8 +1,10 @@
 """Tests for the Internet fabric: delivery, borders, drops, taps."""
 
-from ipaddress import ip_address
+import pickle
+from ipaddress import IPv4Address, IPv6Address, ip_address
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.netsim.autonomous_system import AutonomousSystem, BorderVerdict
 from repro.netsim.fabric import (
@@ -19,7 +21,8 @@ from repro.netsim.fabric import (
     Fabric,
     Host,
 )
-from repro.netsim.packet import Packet
+from repro.netsim.determinism import stable_fraction
+from repro.netsim.packet import Packet, TCPFlag, Transport
 
 
 class Sink(Host):
@@ -259,6 +262,77 @@ def test_loss_roll_is_content_keyed_not_stream_positional():
         fabric.run()
         outcomes.append(len(receiver.received) - received_before)
     assert outcomes[0] == outcomes[1]
+
+
+@st.composite
+def packets(draw):
+    version = draw(st.sampled_from([4, 6]))
+    bits = 32 if version == 4 else 128
+    make = IPv4Address if version == 4 else IPv6Address
+    return Packet(
+        src=make(draw(st.integers(0, 2**bits - 1))),
+        dst=make(draw(st.integers(0, 2**bits - 1))),
+        sport=draw(st.integers(0, 65535)),
+        dport=draw(st.integers(0, 65535)),
+        payload=draw(st.binary(max_size=64)),
+        transport=draw(st.sampled_from(list(Transport))),
+        tcp_flags=draw(st.sampled_from(
+            [TCPFlag.NONE, TCPFlag.SYN, TCPFlag.SYN | TCPFlag.ACK]
+        )),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(-(2**70), 2**70), packet=packets())
+def test_loss_roll_matches_stable_fraction(seed, packet):
+    """The primed loss roll draws exactly the documented key."""
+    fabric = Fabric(seed=seed)
+    expected = stable_fraction(
+        seed,
+        "loss",
+        int(packet.src),
+        int(packet.dst),
+        packet.sport,
+        packet.dport,
+        packet.transport.value,
+        int(packet.tcp_flags),
+        packet.payload,
+    )
+    assert fabric._loss_roll(packet) == expected
+    assert fabric._loss_roll(packet) == expected  # the primed state again
+
+
+def test_fabric_that_rolled_loss_pickles_and_round_trips():
+    fabric, sender, receiver = build_two_as_fabric(dsav=False)
+    fabric.loss_rate = 0.5
+    probe = Packet(
+        src=ip_address("20.0.0.1"),
+        dst=ip_address("30.0.0.1"),
+        sport=4242,
+        dport=2,
+        payload=b"roll",
+    )
+    roll = fabric._loss_roll(probe)
+    assert fabric._loss_prefix is not None  # primed by the roll
+    loaded = pickle.loads(pickle.dumps(fabric))
+    assert loaded._loss_prefix is None
+    assert loaded._loss_roll(probe) == roll
+    for i in range(20):
+        loaded.host_at(ip_address("20.0.0.1")).send(
+            Packet(
+                src=ip_address("20.0.0.1"),
+                dst=ip_address("30.0.0.1"),
+                sport=1000 + i,
+                dport=2,
+                payload=b"x",
+            )
+        )
+    loaded.run()
+    assert (
+        len(loaded.host_at(ip_address("30.0.0.1")).received)
+        + loaded.drop_counts["loss"]
+        == 20
+    )
 
 
 def test_record_drops_keeps_packets():

@@ -485,6 +485,7 @@ def test_scan_resume_missing_dir_errors(capsys, tmp_path):
     assert main(["scan", "--resume", str(tmp_path / "nowhere"),
                  "--quiet"]) == 1
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "nowhere").exists()
 
 
 def test_scan_topology_tiered_runs_the_pipeline(capsys, tmp_path):
