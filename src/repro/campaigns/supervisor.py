@@ -63,6 +63,8 @@ from ..core.pipeline import (
     PipelineOutcome,
     run_pipeline,
 )
+from ..durable import write_atomic
+from ..obs.export import dump_envelope
 from ..obs.ledger import ledger_digest, results_digest
 from .evolution import EvolutionPlan, evolve_spec
 
@@ -150,28 +152,6 @@ class CampaignPolicy:
         )
 
 
-def _fsync_write_json(path: Path, payload: dict[str, Any]) -> None:
-    """Whole-file durable write: tmp + fsync + rename + dir fsync.
-
-    The pipeline's ``_write_json`` is atomic (rename) but not durable
-    (no fsync) — fine for artifacts that resume can regenerate, not for
-    the write-ahead schedule whose whole point is surviving the crash
-    that follows it.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + f".tmp{os.getpid()}")
-    with open(tmp, "w") as handle:
-        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    dir_fd = os.open(path.parent, os.O_RDONLY)
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
-
-
 def _epoch_dir_name(epoch: int) -> str:
     return f"epoch-{epoch:03d}"
 
@@ -255,9 +235,9 @@ class CampaignSupervisor:
                         "epochs from two studies in one directory"
                     )
             if recorded.get("policy") != mine["policy"]:
-                _fsync_write_json(self.campaign_path, mine)
+                self._save(self.campaign_path, mine)
             return
-        _fsync_write_json(self.campaign_path, self.campaign_payload())
+        self._save(self.campaign_path, self.campaign_payload())
 
     def load_schedule(self) -> dict[str, Any]:
         if not self.schedule_path.exists():
@@ -308,7 +288,14 @@ class CampaignSupervisor:
         return payload
 
     def save_schedule(self, payload: dict[str, Any]) -> None:
-        _fsync_write_json(self.schedule_path, payload)
+        self._save(self.schedule_path, payload)
+
+    @staticmethod
+    def _save(path: Path, payload: dict[str, Any]) -> None:
+        # Fsynced, unlike run artifacts: a resume can re-derive those,
+        # but the write-ahead records must survive the crash that
+        # follows them.
+        write_atomic(path, dump_envelope(payload), fsync=True)
 
     # -- epoch execution -------------------------------------------------
 

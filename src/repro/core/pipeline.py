@@ -13,7 +13,8 @@ stage                 artifact
                       shard's serialized :class:`Collector` state
 ``collect``           ``observations.json``: the merged collection
 ``analyze``           ``results.json``: the full :meth:`results_dict`
-``report``            ``report.txt``: the rendered text report
+``report``            ``report.txt``: the rendered text report, and
+                      ``telemetry.json`` when the spec collects metrics
 ====================  =====================================================
 
 The scan stage is *shard-parallel*: the target ASes are partitioned into
@@ -51,8 +52,11 @@ the one remaining difference — event-arrival insertion order — before
 analysis.
 
 Persisting the stage artifacts into a run directory makes campaigns
-resumable: ``repro-dsav scan --resume <dir>`` re-runs only the stages
-whose artifacts are missing.
+resumable.  The directory's ``manifest.json`` is the only record of
+what is committed (see :class:`RunDirectory`), so ``repro-dsav scan
+--resume <dir>`` re-derives what the manifest has not committed: a
+shard it does not record is scanned again, and whenever analyze must
+run, collect is re-derived from the committed shard artifacts.
 """
 
 from __future__ import annotations
@@ -71,10 +75,11 @@ from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
+from ..durable import write_atomic
 from ..netsim.determinism import stable_fraction
 from ..netsim.faults import FaultPlan, ShardCrashInjected
 from ..netsim.topology import TopologySpec
-from ..obs.export import telemetry_payload, write_telemetry
+from ..obs.export import dump_telemetry, telemetry_payload
 from ..obs.metrics import MetricsRegistry
 from ..obs.spans import SpanRecorder, activate, span
 from ..obs.stream import STREAM_FILE, StreamWriter, TelemetrySnapshotter
@@ -336,12 +341,21 @@ class RunDirectory:
 
     Lays out ``manifest.json`` (the spec plus stage bookkeeping),
     ``shard-NNN.json`` per scan shard, ``observations.json``,
-    ``results.json``, and ``report.txt`` under one directory.
+    ``results.json``, ``report.txt`` and ``telemetry.json`` under one
+    directory.
+
+    The manifest is the only record of what is committed.
+    :meth:`commit` renames a stage's files (or a scan round's shard
+    artifacts) into place, then rewrites the manifest once with their
+    sha256 digests and the stage mark.  A file the manifest does not
+    record — one renamed just before a kill, or a ``*.tmp<pid>``
+    leftover — is never read: a resume re-derives it.
     """
 
     def __init__(self, path) -> None:
         self.path = Path(path)
         self.path.mkdir(parents=True, exist_ok=True)
+        self._manifest: dict[str, Any] | None = None
 
     # -- paths -----------------------------------------------------------
 
@@ -403,41 +417,22 @@ class RunDirectory:
 
     # -- manifest --------------------------------------------------------
 
+    @property
+    def manifest(self) -> dict[str, Any]:
+        """The manifest as last committed, read from disk once."""
+        if self._manifest is None:
+            try:
+                self._manifest = json.loads(self.manifest_path.read_bytes())
+            except ValueError as exc:
+                raise ArtifactCorruptError(
+                    f"{self.manifest_path} is not valid JSON ({exc}); the "
+                    "run directory cannot be trusted — delete it and rerun"
+                ) from exc
+        return self._manifest
+
     def read_spec(self) -> CampaignSpec:
         """Load the spec recorded in the manifest (for ``--resume``)."""
-        try:
-            manifest = _read_json(self.manifest_path)
-        except ValueError as exc:
-            raise ArtifactCorruptError(
-                f"{self.manifest_path} is not valid JSON ({exc}); the "
-                "run directory cannot be trusted — delete it and rerun"
-            ) from exc
-        return CampaignSpec.from_payload(manifest["spec"])
-
-    # -- checksum envelope ----------------------------------------------
-
-    def record_artifact(self, path: Path) -> None:
-        """Record *path*'s sha256 in the manifest.
-
-        Read paths verify against this digest so a truncated or
-        bit-flipped artifact is quarantined instead of silently merged
-        into a resumed run.
-        """
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        manifest = _read_json(self.manifest_path)
-        manifest.setdefault("artifacts", {})[path.name] = digest
-        _write_json(self.manifest_path, manifest)
-
-    def recorded_digest(self, name: str) -> str | None:
-        if not self.manifest_path.exists():
-            return None
-        return _read_json(self.manifest_path).get("artifacts", {}).get(name)
-
-    def quarantine(self, path: Path) -> Path:
-        """Move a corrupt artifact aside so resume regenerates it."""
-        quarantined = path.with_name(path.name + ".quarantined")
-        os.replace(path, quarantined)
-        return quarantined
+        return CampaignSpec.from_payload(self.manifest["spec"])
 
     def bind_spec(self, spec: CampaignSpec) -> None:
         """Record *spec* in the manifest, or verify it matches.
@@ -454,73 +449,85 @@ class RunDirectory:
                     f"{recorded}, refusing to reuse it for {spec}"
                 )
             return
-        _write_json(
-            self.manifest_path,
-            {
-                "schema_version": ARTIFACT_SCHEMA_VERSION,
-                "spec": spec.to_payload(),
-                "stages_completed": [],
-            },
+        self._manifest = {
+            "schema_version": ARTIFACT_SCHEMA_VERSION,
+            "spec": spec.to_payload(),
+            "stages_completed": [],
+        }
+        write_atomic(self.manifest_path, _json_text(self._manifest))
+
+    def commit(
+        self, files: dict[str, str], stage: str | None = None
+    ) -> None:
+        """Rename *files* (name → content) into place, then record their
+        sha256 digests and *stage* in one manifest write.
+
+        The digests are hashed from the bytes in hand, so reads can
+        verify a file against them without this step reading it back.
+        """
+        completed = self.manifest["stages_completed"]
+        if not files and (stage is None or stage in completed):
+            return
+        artifacts = self.manifest.setdefault("artifacts", {})
+        for name, text in files.items():
+            data = text.encode()
+            write_atomic(self.path / name, data)
+            artifacts[name] = hashlib.sha256(data).hexdigest()
+        if stage is not None and stage not in completed:
+            completed.append(stage)
+        write_atomic(self.manifest_path, _json_text(self.manifest))
+
+    def committed(self, name: str) -> bool:
+        """Whether the manifest records *name* and the file is there."""
+        return (
+            name in self.manifest.get("artifacts", {})
+            and (self.path / name).exists()
         )
 
-    def mark_stage(self, stage: str) -> None:
-        manifest = _read_json(self.manifest_path)
-        completed = manifest.setdefault("stages_completed", [])
-        if stage not in completed:
-            completed.append(stage)
-            _write_json(self.manifest_path, manifest)
+    def complete(self, spec: CampaignSpec) -> bool:
+        """Whether every stage that writes files (all but build) is
+        committed, with the files a finished run of *spec* serves."""
+        final = [self.results_path, self.report_path]
+        if spec.metrics:
+            final.append(self.telemetry_path)
+        return all(
+            stage in self.manifest["stages_completed"] for stage in STAGES[1:]
+        ) and all(self.committed(path.name) for path in final)
+
+    def quarantine(self, path: Path) -> Path:
+        """Move a corrupt artifact aside so resume regenerates it."""
+        quarantined = path.with_name(path.name + ".quarantined")
+        os.replace(path, quarantined)
+        return quarantined
 
 
-def _read_json(path: Path) -> dict[str, Any]:
-    return json.loads(path.read_text())
-
-
-def _write_json(path: Path, payload: dict[str, Any]) -> None:
-    # Write-then-rename so a crash mid-write never leaves a truncated
-    # artifact that a later --resume would trust.
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2) + "\n")
-    os.replace(tmp, path)
+def _json_text(payload: dict[str, Any]) -> str:
+    """The encoding of every JSON artifact this module writes."""
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def _read_artifact(
-    rd: RunDirectory | None,
-    path: Path,
-    what: str,
-    *,
-    parse_json: bool = True,
+    rd: RunDirectory, path: Path, what: str, *, parse_json: bool = True
 ) -> Any:
-    """Read an artifact, verifying its recorded checksum first.
+    """Read a committed artifact, verifying the digest its commit recorded.
 
-    Artifacts written before checksums existed have no recorded digest
-    and are read as before; anything recorded must match byte-for-byte
-    or it is quarantined and the resume fails with a clear error.
+    Callers read only what :meth:`RunDirectory.committed` vouches for.
+    A file whose bytes differ from the recorded digest is quarantined,
+    and the resume fails with a clear error; the next resume
+    re-derives it.
     """
     raw = path.read_bytes()
-    recorded = rd.recorded_digest(path.name) if rd is not None else None
-    if recorded is not None:
-        actual = hashlib.sha256(raw).hexdigest()
-        if actual != recorded:
-            quarantined = rd.quarantine(path)
-            raise ArtifactCorruptError(
-                f"{what} at {path} failed its checksum "
-                f"(recorded {recorded[:12]}…, found {actual[:12]}…); "
-                f"moved to {quarantined.name} — rerun with --resume to "
-                "regenerate it"
-            )
-    if not parse_json:
-        return raw
-    try:
-        return json.loads(raw)
-    except ValueError as exc:
-        if rd is not None:
-            quarantined = rd.quarantine(path)
-            raise ArtifactCorruptError(
-                f"{what} at {path} is not valid JSON ({exc}); moved to "
-                f"{quarantined.name} — rerun with --resume to "
-                "regenerate it"
-            ) from exc
-        raise
+    recorded = rd.manifest["artifacts"][path.name]
+    actual = hashlib.sha256(raw).hexdigest()
+    if actual != recorded:
+        quarantined = rd.quarantine(path)
+        raise ArtifactCorruptError(
+            f"{what} at {path} failed its checksum "
+            f"(recorded {recorded[:12]}…, found {actual[:12]}…); "
+            f"moved to {quarantined.name} — rerun with --resume to "
+            "regenerate it"
+        )
+    return json.loads(raw) if parse_json else raw
 
 
 # ---------------------------------------------------------------------------
@@ -985,14 +992,12 @@ class ShardCache:
         canonical = json.dumps(
             body, sort_keys=True, separators=(",", ":")
         )
-        _write_json(
-            self._path(key),
-            {
-                "schema_version": SHARD_CACHE_VERSION,
-                "sha256": hashlib.sha256(canonical.encode()).hexdigest(),
-                "body": body,
-            },
-        )
+        envelope = {
+            "schema_version": SHARD_CACHE_VERSION,
+            "sha256": hashlib.sha256(canonical.encode()).hexdigest(),
+            "body": body,
+        }
+        write_atomic(self._path(key), _json_text(envelope))
 
 
 class _ShardCacheContext:
@@ -1071,9 +1076,6 @@ class _ShardCacheContext:
                 ],
             }
         )
-
-    def fetch(self, key: str) -> dict[str, Any] | None:
-        return self.cache.load(key)
 
     def store_artifact(
         self, key: str, artifact: dict[str, Any], events: str | None
@@ -1263,7 +1265,7 @@ class PipelineOutcome:
     telemetry: dict[str, Any] | None = None
     #: scan-stage execution counts ``{shard_id: executions}`` — a
     #: reused shard counts 0, a shard re-executed after one crash 2.
-    #: ``None`` when the scan stage was served entirely from disk.
+    #: ``None`` when the run was served from disk.
     scan_stats: dict[int, int] | None = None
     #: how the parent obtained its scenario: ``"built"`` (cold) or
     #: ``"cache"`` (content-keyed cache hit).  ``None`` when the run
@@ -1288,10 +1290,11 @@ def run_pipeline(
 ) -> PipelineOutcome:
     """Run the staged campaign described by *spec*.
 
-    ``run_dir`` persists stage artifacts (and enables resume: stages
-    whose artifacts already exist are skipped).  ``workers`` bounds the
-    shard worker processes; ``0`` runs every shard inline in this
-    process (useful under test, and what ``shards=1`` effectively is).
+    ``run_dir`` persists stage artifacts (and enables resume: what its
+    manifest has committed is reused, the rest re-derived).
+    ``workers`` bounds the shard worker processes; ``0`` runs every
+    shard inline in this process (useful under test, and what
+    ``shards=1`` effectively is).
     ``progress`` is an optional live reporter (see
     :class:`repro.obs.progress.ProgressReporter`) fed by the scan stage.
     ``hang_timeout`` (seconds, at least :data:`MIN_HANG_TIMEOUT`) arms
@@ -1358,28 +1361,24 @@ def run_pipeline(
     rd = RunDirectory(run_dir) if run_dir is not None else None
     if rd is not None:
         rd.bind_spec(spec)
-        if spec.faults is not None:
+        if spec.faults is not None and not rd.committed(rd.faults_path.name):
             # The plan is part of the spec, but a standalone artifact
             # makes the chaos configuration of a run auditable without
             # digging through the manifest.
-            _write_json(rd.faults_path, dict(spec.faults))
-            rd.record_artifact(rd.faults_path)
+            rd.commit({rd.faults_path.name: _json_text(dict(spec.faults))})
     stages_run: list[str] = []
     stages_skipped: list[str] = []
 
-    # Fully analyzed run on disk: serve it without rebuilding anything.
-    if (
-        rd is not None
-        and rd.results_path.exists()
-        and rd.report_path.exists()
-    ):
+    # Every stage committed, with its files: serve the run without
+    # rebuilding anything.
+    if rd is not None and rd.complete(spec):
         results = _read_artifact(rd, rd.results_path, "results artifact")
         report = _read_artifact(
             rd, rd.report_path, "report artifact", parse_json=False
         ).decode()
         telemetry = (
-            _read_json(rd.telemetry_path)
-            if rd.telemetry_path.exists()
+            _read_artifact(rd, rd.telemetry_path, "telemetry artifact")
+            if spec.metrics
             else None
         )
         _append_ledger(ledger, rd)
@@ -1424,8 +1423,9 @@ def run_pipeline(
             )
         stages_run.append("build")
 
-        # -- scan + collect, or reload the merged observations artifact.
-        collector: Collector
+        # -- scan + collect.  Whenever analyze must run, collect is
+        # re-derived from the committed shard artifacts, so a resumed
+        # run merges the same shard telemetry an uninterrupted one does.
         scan_stats: dict[int, int] | None = None
         cache_hits: list[int] = []
         shard_ctx = None
@@ -1435,76 +1435,62 @@ def run_pipeline(
             shard_ctx = _ShardCacheContext(
                 shard_cache, spec, params, scenario
             )
-        if rd is not None and rd.observations_path.exists():
-            artifact = _read_artifact(
-                rd, rd.observations_path, "observations artifact"
-            )
-            _check_version(artifact, "observations artifact")
+        with span("scan"):
+            # Publish the built scenario for the duration of the scan,
+            # so forked workers inherit the object.
+            _publish_scenario(scenario, content_key(params))
+            try:
+                shard_payloads, scan_stats, cache_hits = _run_scan_stage(
+                    spec, scenario, targets, rd, workers,
+                    stages_run, stages_skipped, progress,
+                    hang_timeout=hang_timeout, profile=profile,
+                    shard_ctx=shard_ctx,
+                )
+            finally:
+                _publish_scenario(None, None)
+            # Fold each shard's telemetry into the campaign-wide view:
+            # metrics merge deterministically, span trees graft under
+            # this scan span.
+            for payload in shard_payloads:
+                shard_telemetry = payload.get("telemetry")
+                if shard_telemetry is None:
+                    continue
+                if registry is not None:
+                    registry.merge_payload(shard_telemetry["metrics"])
+                for node in shard_telemetry["spans"]["spans"]:
+                    recorder.graft_payload(node)
+        with span("collect"):
             collector = _fresh_collector(scenario)
-            collector.absorb_payload(artifact["collection"])
+            shard_metas = []
+            for payload in shard_payloads:
+                collector.absorb_payload(payload["collection"])
+                shard_metas.append(
+                    ScanMetadata.from_payload(payload["metadata"])
+                )
             collector.canonicalize()
-            metadata = ScanMetadata.from_payload(artifact["metadata"])
-            stages_skipped.extend(["scan", "collect"])
-        else:
-            with span("scan"):
-                # Publish the built scenario for the duration of the
-                # scan, so forked workers inherit the object.
-                _publish_scenario(scenario, content_key(params))
-                try:
-                    shard_payloads, scan_stats, cache_hits = (
-                        _run_scan_stage(
-                            spec, scenario, targets, rd, workers,
-                            stages_run, stages_skipped, progress,
-                            hang_timeout=hang_timeout, profile=profile,
-                            shard_ctx=shard_ctx,
-                        )
-                    )
-                finally:
-                    _publish_scenario(None, None)
-                # Fold each shard's telemetry into the campaign-wide
-                # view: metrics merge deterministically, span trees
-                # graft under this scan span.
-                for payload in shard_payloads:
-                    shard_telemetry = payload.get("telemetry")
-                    if shard_telemetry is None:
-                        continue
-                    if registry is not None:
-                        registry.merge_payload(shard_telemetry["metrics"])
-                    for node in shard_telemetry["spans"]["spans"]:
-                        recorder.graft_payload(node)
-            with span("collect"):
-                collector = _fresh_collector(scenario)
-                shard_metas = []
-                for payload in shard_payloads:
-                    collector.absorb_payload(payload["collection"])
-                    shard_metas.append(
-                        ScanMetadata.from_payload(payload["metadata"])
-                    )
-                collector.canonicalize()
-                metadata = ScanMetadata.merged(shard_metas)
-                if spec.journal and rd is not None:
-                    from ..obs.journal import merge_shard_journals
+            metadata = ScanMetadata.merged(shard_metas)
+            if spec.journal and rd is not None:
+                from ..obs.journal import merge_shard_journals
 
-                    merge_shard_journals(
-                        [
-                            rd.shard_events_path(shard_id)
-                            for shard_id in range(spec.shards)
-                        ],
-                        rd.events_path,
-                    )
-                if rd is not None:
-                    _write_json(
-                        rd.observations_path,
-                        {
-                            "schema_version": ARTIFACT_SCHEMA_VERSION,
-                            "spec": spec.to_payload(),
-                            "metadata": metadata.to_payload(),
-                            "collection": collector.to_payload(),
-                        },
-                    )
-                    rd.record_artifact(rd.observations_path)
-                    rd.mark_stage("collect")
-            stages_run.append("collect")
+                merge_shard_journals(
+                    [
+                        rd.shard_events_path(shard_id)
+                        for shard_id in range(spec.shards)
+                    ],
+                    rd.events_path,
+                )
+            if rd is not None:
+                observations = {
+                    "schema_version": ARTIFACT_SCHEMA_VERSION,
+                    "spec": spec.to_payload(),
+                    "metadata": metadata.to_payload(),
+                    "collection": collector.to_payload(),
+                }
+                rd.commit(
+                    {rd.observations_path.name: _json_text(observations)},
+                    "collect",
+                )
+        stages_run.append("collect")
 
         # -- analyze
         metadata.wall_seconds = recorder.elapsed()
@@ -1533,34 +1519,31 @@ def run_pipeline(
                 sample=spec.asn_sample,
             )
             results = campaign.results_dict()
-            if spec.journal and rd is not None and rd.events_path.exists():
+            if spec.journal and rd is not None:
                 from ..obs.journal import append_classifications
 
                 append_classifications(rd.events_path, collector)
         if rd is not None:
-            _write_json(rd.results_path, results)
-            rd.record_artifact(rd.results_path)
-            rd.mark_stage("analyze")
+            rd.commit({rd.results_path.name: _json_text(results)}, "analyze")
         stages_run.append("analyze")
 
         # -- report
         with span("report"):
             report = campaign.full_report()
-        if rd is not None:
-            tmp = rd.report_path.with_suffix(".txt.tmp")
-            tmp.write_text(report)
-            os.replace(tmp, rd.report_path)
-            rd.record_artifact(rd.report_path)
-            rd.mark_stage("report")
         stages_run.append("report")
 
+    # The report stage commits once the pipeline span has closed, so
+    # its telemetry.json holds the whole run's span tree.
     telemetry = None
     if registry is not None:
         telemetry = telemetry_payload(
             registry, recorder, spec=spec.to_payload()
         )
-        if rd is not None:
-            write_telemetry(rd.telemetry_path, telemetry)
+    if rd is not None:
+        files = {rd.report_path.name: report}
+        if telemetry is not None:
+            files[rd.telemetry_path.name] = dump_telemetry(telemetry)
+        rd.commit(files, "report")
 
     _append_ledger(ledger, rd)
 
@@ -1647,19 +1630,19 @@ def _run_scan_stage(
     profile: bool = False,
     shard_ctx: "_ShardCacheContext | None" = None,
 ) -> tuple[list[dict[str, Any]], dict[int, int], list[int]]:
-    """Produce every shard artifact, reusing any already on disk.
+    """Produce every shard artifact, reusing any the manifest records.
 
     Returns ``(artifacts in shard order, {shard_id: executions},
     cache-hit shard ids)`` — a reused shard counts zero executions, a
     shard that survived one crash counts two.  Crashed or killed
     workers are re-executed up to :data:`MAX_SHARD_ATTEMPTS` times;
-    only the failed shards re-run, every completed artifact is
-    persisted the round it lands.
+    only the failed shards re-run, and each round's completed
+    artifacts are committed the round they land.
 
-    With *shard_ctx* (incremental rescans), a shard absent from the run
-    directory whose content key hits the cache is materialized from the
-    cached artifact — spec payload patched to the current epoch — and
-    then flows through the ordinary reuse path, executions 0.
+    With *shard_ctx* (incremental rescans), a shard the manifest does
+    not record whose content key hits the cache is materialized from
+    the cached artifact — spec payload patched to the current epoch —
+    and committed with the first round, executions 0.
     """
     if progress is not None:
         progress.total_shards = spec.shards
@@ -1701,37 +1684,39 @@ def _run_scan_stage(
     payloads: dict[int, dict[str, Any]] = {}
     shard_attempts: dict[int, int] = {}
     cache_hits: list[int] = []
+    #: shard artifacts served from the cache, committed with the first
+    #: round (or alone, when no shard runs).
+    hit_files: dict[str, str] = {}
     pending: list[dict[str, Any]] = []
     for shard_id in range(spec.shards):
-        reusable = rd is not None and rd.shard_path(shard_id).exists()
-        if reusable and spec.journal:
-            # A journaled shard is only complete once its events file
-            # exists too; otherwise re-run to regenerate both.
-            reusable = rd.shard_events_path(shard_id).exists()
-        if not reusable and shard_id in shard_keys:
-            body = shard_ctx.fetch(shard_keys[shard_id])
-            if body is not None:
-                # Materialize the cached shard into the run directory —
-                # spec payload patched to this epoch's — so the normal
-                # reuse path below (checksum recording included) serves
-                # it exactly like a shard found on disk after a resume.
-                artifact = dict(body["artifact"])
-                artifact["spec"] = spec.to_payload()
-                if spec.journal:
-                    events = body.get("events")
-                    if events is not None:
-                        rd.shard_events_path(shard_id).write_text(events)
-                _write_json(rd.shard_path(shard_id), artifact)
-                rd.record_artifact(rd.shard_path(shard_id))
-                cache_hits.append(shard_id)
-                reusable = True
-                if spec.journal:
-                    reusable = rd.shard_events_path(shard_id).exists()
-        if reusable:
+        artifact = None
+        if (
+            rd is not None
+            and rd.committed(rd.shard_path(shard_id).name)
+            # A journaled shard also needs its events file, written
+            # before its artifact committed.
+            and (not spec.journal or rd.shard_events_path(shard_id).exists())
+        ):
             artifact = _read_artifact(
                 rd, rd.shard_path(shard_id), f"shard {shard_id} artifact"
             )
             _check_version(artifact, f"shard {shard_id} artifact")
+        elif shard_id in shard_keys:
+            body = shard_ctx.cache.load(shard_keys[shard_id])
+            if body is not None:
+                # Materialize the cached shard into the run directory,
+                # its spec payload patched to this epoch's.
+                artifact = dict(body["artifact"])
+                artifact["spec"] = spec.to_payload()
+                if spec.journal:
+                    write_atomic(
+                        rd.shard_events_path(shard_id), body["events"]
+                    )
+                hit_files[rd.shard_path(shard_id).name] = _json_text(
+                    artifact
+                )
+                cache_hits.append(shard_id)
+        if artifact is not None:
             payloads[shard_id] = artifact
             shard_attempts[shard_id] = 0
             stages_skipped.append(f"scan[{shard_id}]")
@@ -1767,6 +1752,8 @@ def _run_scan_stage(
         shard_attempts[shard_id] = 0
         pending.append(job)
 
+    if not pending and rd is not None:
+        rd.commit(hit_files, "scan")
     if pending:
         if workers is None:
             workers = min(len(pending), os.cpu_count() or 1)
@@ -1802,18 +1789,29 @@ def _run_scan_stage(
                 round_results, failed = _run_fork_round(
                     remaining, workers, progress, hang_timeout, stream
                 )
-            # Persist survivors immediately (in shard order, so stage
-            # bookkeeping stays deterministic despite worker races) —
-            # work completed before a crash is never redone.
+            # Commit survivors the round they land (in shard order, so
+            # stage bookkeeping stays deterministic despite worker
+            # races) — work completed before a crash is never redone.
+            # Each is stored in the shard cache first, so a kill before
+            # the commit leaves a shard the resume serves from there.
+            files, hit_files = hit_files, {}
             for artifact in sorted(
                 round_results, key=lambda a: a["shard_id"]
             ):
                 results.append(artifact)
-                if rd is not None:
-                    _write_json(
-                        rd.shard_path(artifact["shard_id"]), artifact
+                shard_id = artifact["shard_id"]
+                if rd is None:
+                    continue
+                if shard_id in shard_keys:
+                    events = None
+                    if spec.journal:
+                        events = rd.shard_events_path(shard_id).read_text()
+                    shard_ctx.store_artifact(
+                        shard_keys[shard_id], artifact, events
                     )
-                    rd.record_artifact(rd.shard_path(artifact["shard_id"]))
+                files[rd.shard_path(shard_id).name] = _json_text(artifact)
+            if rd is not None:
+                rd.commit(files, None if failed else "scan")
             if not failed:
                 break
             retry_jobs: list[dict[str, Any]] = []
@@ -1846,20 +1844,8 @@ def _run_scan_stage(
                 )
             remaining = retry_jobs
         for artifact in sorted(results, key=lambda a: a["shard_id"]):
-            shard_id = artifact["shard_id"]
-            payloads[shard_id] = artifact
-            stages_run.append(f"scan[{shard_id}]")
-            if shard_id in shard_keys:
-                events = None
-                if spec.journal and rd is not None:
-                    events_path = rd.shard_events_path(shard_id)
-                    if events_path.exists():
-                        events = events_path.read_text()
-                shard_ctx.store_artifact(
-                    shard_keys[shard_id], artifact, events
-                )
-    if rd is not None:
-        rd.mark_stage("scan")
+            payloads[artifact["shard_id"]] = artifact
+            stages_run.append(f"scan[{artifact['shard_id']}]")
 
     # Deterministic merge order regardless of which shards ran live.
     return (

@@ -28,7 +28,6 @@ deterministic slice across shard counts with
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 from .metrics import (
@@ -50,9 +49,9 @@ TELEMETRY_SCHEMA_VERSION = 1
 #
 # Every machine-readable observatory document (ledger.json, the diff
 # and trend --json payloads) shares one envelope convention:
-# ``schema_version`` + ``kind`` at the top level, canonical rendering
-# (sorted keys, two-space indent, trailing newline) so identical
-# content is identical bytes, and an atomic tmp-then-rename write.
+# ``schema_version`` + ``kind`` at the top level, and canonical
+# rendering (sorted keys, two-space indent, trailing newline) so
+# identical content is identical bytes.
 
 
 def validate_envelope(payload: dict, *, kind: str, version: int) -> None:
@@ -74,15 +73,6 @@ def validate_envelope(payload: dict, *, kind: str, version: int) -> None:
 def dump_envelope(payload: dict) -> str:
     """Canonical text form: byte-identical for identical content."""
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def write_envelope(path: Path | str, payload: dict) -> Path:
-    """Atomically write *payload* in the canonical envelope form."""
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(dump_envelope(payload))
-    os.replace(tmp, path)
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -108,14 +98,10 @@ def telemetry_payload(
     return payload
 
 
-def write_telemetry(path: Path | str, payload: dict) -> Path:
-    """Atomically write *payload* as pretty-printed JSON."""
+def dump_telemetry(payload: dict) -> str:
+    """*payload*, validated, as the text of ``telemetry.json``."""
     validate_telemetry(payload)
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2) + "\n")
-    os.replace(tmp, path)
-    return path
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def load_telemetry(path: Path | str) -> dict:
@@ -239,20 +225,6 @@ def obs_json_payload(payload: dict) -> dict:
     out = dict(payload)
     out["histogram_summaries"] = histogram_summaries(payload)
     return out
-
-
-def write_prom_textfile(path: Path | str, text: str) -> Path:
-    """Atomically (re)write a Prometheus textfile.
-
-    Node-exporter's textfile collector reads these on its own
-    schedule; tmp-then-rename means it never sees a half-written
-    scrape.
-    """
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-    return path
 
 
 def deterministic_counters(payload: dict) -> dict:

@@ -38,12 +38,12 @@ import this package; the disabled cost is one attribute check.
 from __future__ import annotations
 
 import json
-import os
 from collections.abc import Iterator
 from itertools import groupby
 from pathlib import Path
 from typing import Any
 
+from ..durable import atomic_open
 from ..netsim.determinism import stable_hash
 
 #: Version stamped as ``v`` into every event line.
@@ -455,13 +455,11 @@ def _write_journal(
 ) -> None:
     """Atomically write *kept* lines as they are, then *events* in merge
     order as canonical lines, ``seq`` numbered on from ``len(kept)``."""
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with tmp.open("w") as handle:
+    with atomic_open(path) as handle:
         handle.writelines(line + "\n" for line in kept)
         for seq, event in enumerate(_merge_order(events), len(kept)):
             event["seq"] = seq
             handle.write(event_line(event) + "\n")
-    os.replace(tmp, path)
 
 
 def merge_shard_journals(

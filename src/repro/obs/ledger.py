@@ -27,7 +27,8 @@ import os
 import time
 from pathlib import Path
 
-from .export import dump_envelope, validate_envelope, write_envelope
+from ..durable import write_atomic
+from .export import dump_envelope, validate_envelope
 
 #: Version of the ledger.json envelope.
 LEDGER_SCHEMA_VERSION = 1
@@ -360,9 +361,9 @@ class Ledger:
             )
         return payload
 
-    def save(self, payload: dict) -> Path:
+    def save(self, payload: dict) -> None:
         self.base.mkdir(parents=True, exist_ok=True)
-        return write_envelope(self.path, payload)
+        write_atomic(self.path, dump_envelope(payload))
 
     # -- mutation --------------------------------------------------------
 

@@ -28,7 +28,8 @@ import sys
 import time
 from pathlib import Path
 
-from .export import to_prometheus, write_prom_textfile
+from ..durable import write_atomic
+from .export import to_prometheus
 from .progress import _format_eta
 from .stream import RunHealth, RunStream
 
@@ -187,7 +188,7 @@ def run_watch(
                 out.write(block + "\n\n")
             out.flush()
         if prom_path is not None:
-            write_prom_textfile(prom_path, to_prometheus(health.registry()))
+            write_atomic(prom_path, to_prometheus(health.registry()))
         if once:
             return 0
         if stream.finished():

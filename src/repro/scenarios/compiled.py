@@ -40,6 +40,7 @@ import zlib
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
+from ..durable import write_atomic
 from .params import ResolverKind, ScenarioParams
 
 if TYPE_CHECKING:
@@ -191,12 +192,15 @@ def deserialize_scenario(
 def write_scenario(path, scenario: "BuiltScenario") -> bytes:
     """Atomically write *scenario*'s artifact to *path*; return the bytes."""
     data = serialize_scenario(scenario)
-    return _write_atomic(Path(path), data)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    write_atomic(path, data)
+    return data
 
 
 def write_artifact_bytes(path, data: bytes) -> None:
     """Atomically write already-serialized artifact bytes to *path*."""
-    _write_atomic(Path(path), data)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    write_atomic(path, data)
 
 
 def load_scenario(path, *, expect_key: str | None = None) -> "BuiltScenario":
@@ -206,21 +210,15 @@ def load_scenario(path, *, expect_key: str | None = None) -> "BuiltScenario":
     )
 
 
-def _write_atomic(path: Path, data: bytes) -> bytes:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + f".tmp{os.getpid()}")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
-    return data
-
-
 class ScenarioCache:
     """Content-keyed on-disk store of compiled scenarios.
 
     Entries are immutable: the filename is the content key, so a hit is
     by construction the same world a cold build would produce, and a
     spec or builder-version change simply misses.  Concurrent writers
-    are safe — both produce identical bytes and the write is atomic.
+    are safe: both produce identical bytes, each writes its own
+    ``.tmp<pid>`` file, and the rename that publishes it is atomic
+    (:func:`repro.durable.atomic_open`).
     """
 
     def __init__(self, root) -> None:

@@ -233,6 +233,30 @@ class Cell(NamedTuple):
         ]
 
 
+def matrix_spec(
+    shards: int = 4,
+    partition: str = "weighted",
+    skip_ahead: bool = True,
+    metrics: bool = True,
+    journal: bool = True,
+    stream: bool = True,
+) -> CampaignSpec:
+    """The matrix world's spec; its defaults are the reference's."""
+    return CampaignSpec.from_scan_config(
+        seed=7,
+        n_ases=12,
+        shards=shards,
+        partition=partition,
+        config=ScanConfig(
+            duration=30.0, max_retries=1, skip_ahead=skip_ahead
+        ),
+        metrics=metrics,
+        journal=journal,
+        stream=stream,
+        faults=MATRIX_PLAN.to_payload(),
+    )
+
+
 @pytest.fixture(scope="session")
 def cell(tmp_path_factory):
     """``cell(name)``: the named cell's run, made once per session."""
@@ -246,18 +270,14 @@ def cell(tmp_path_factory):
         if name != "reference":
             run("reference")  # fills the scenario cache first
             toggles.update({"scenario_cache": False, **CELLS[name]})
-        spec = CampaignSpec.from_scan_config(
-            seed=7,
-            n_ases=12,
-            shards=toggles["shards"],
-            partition=toggles["partition"],
-            config=ScanConfig(
-                duration=30.0, max_retries=1, skip_ahead=toggles["skip_ahead"]
-            ),
-            metrics=toggles["metrics"],
-            journal=toggles["journal"],
-            stream=toggles["stream"],
-            faults=MATRIX_PLAN.to_payload(),
+        spec = matrix_spec(
+            **{
+                name: toggles[name]
+                for name in (
+                    "shards", "partition", "skip_ahead",
+                    "metrics", "journal", "stream",
+                )
+            }
         )
         run_dir = base / name.replace(",", "-")
         cells[name] = Cell(toggles, run_dir, run_pipeline(

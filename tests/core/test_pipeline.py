@@ -25,6 +25,7 @@ from repro.core.pipeline import (
 from repro.core.qname import Channel
 from repro.core.sources import SourceCategory
 from repro.netsim.packet import TCPSignature
+from repro.obs.export import deterministic_counters, load_telemetry
 
 from ..conftest import CLEAN_N_ASES, CLEAN_SEED, clean_spec, minus_provenance
 
@@ -180,6 +181,9 @@ def test_completed_run_resumes_from_artifacts_alone(
 
 
 def test_resume_reuses_merged_observations(sharded, monkeypatch, tmp_path):
+    """A run that lost its analysis resumes without scanning: collect
+    re-runs from the committed shard artifacts, so the telemetry merges
+    every shard's counters as the uninterrupted run did."""
     spec, run_dir, outcome = sharded
     copy = tmp_path / "run"
     shutil.copytree(run_dir, copy)
@@ -190,9 +194,13 @@ def test_resume_reuses_merged_observations(sharded, monkeypatch, tmp_path):
     )
     resumed = resume_pipeline(copy, workers=0)
     assert resumed.campaign is not None
-    assert {"scan", "collect"} <= set(resumed.stages_skipped)
+    assert resumed.stages_skipped == [f"scan[{i}]" for i in range(4)]
+    assert "collect" in resumed.stages_run
     assert minus_provenance(resumed.results) == minus_provenance(
         outcome.results
+    )
+    assert deterministic_counters(resumed.telemetry) == (
+        deterministic_counters(outcome.telemetry)
     )
     assert (copy / "results.json").exists()
     assert (copy / "report.txt").exists()
@@ -410,9 +418,33 @@ def test_corrupt_results_artifact_quarantined(sharded, tmp_path):
     assert (copy / "results.json.quarantined").exists()
 
 
+def test_torn_telemetry_artifact_quarantined(sharded, tmp_path):
+    """A torn telemetry.json of a finished run fails its checksum like
+    any artifact, and the next resume re-derives it."""
+    from repro.core.pipeline import ArtifactCorruptError
+
+    _, run_dir, outcome = sharded
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    victim = copy / "telemetry.json"
+    victim.write_bytes(victim.read_bytes()[:200])
+
+    with pytest.raises(ArtifactCorruptError, match="telemetry artifact") as e:
+        resume_pipeline(copy, workers=0)
+    assert e.value.exit_code == 4
+    assert (copy / "telemetry.json.quarantined").exists()
+
+    resumed = resume_pipeline(copy, workers=0)
+    assert load_telemetry(victim) == resumed.telemetry
+    assert deterministic_counters(resumed.telemetry) == (
+        deterministic_counters(outcome.telemetry)
+    )
+
+
 def test_unrecorded_artifacts_still_readable(sharded, tmp_path):
-    """Run directories from before the checksum envelope (no
-    ``artifacts`` map in the manifest) resume as before."""
+    """A run directory whose manifest records no ``artifacts`` vouches
+    for none of its files: the resume re-derives every one of them,
+    to the same results."""
     _, run_dir, outcome = sharded
     copy = tmp_path / "run"
     shutil.copytree(run_dir, copy)
@@ -421,4 +453,14 @@ def test_unrecorded_artifacts_still_readable(sharded, tmp_path):
     (copy / "manifest.json").write_text(json.dumps(manifest))
 
     resumed = resume_pipeline(copy, workers=0)
-    assert resumed.results == outcome.results
+    assert resumed.stages_run == [
+        "build", "scan[0]", "scan[1]", "scan[2]", "scan[3]",
+        "collect", "analyze", "report",
+    ]
+    assert minus_provenance(resumed.results) == minus_provenance(
+        outcome.results
+    )
+    recorded = json.loads((copy / "manifest.json").read_text())["artifacts"]
+    assert sorted(recorded) == sorted(
+        json.loads((run_dir / "manifest.json").read_text())["artifacts"]
+    )

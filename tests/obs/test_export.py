@@ -2,14 +2,15 @@
 
 import pytest
 
+from repro.durable import write_atomic
 from repro.obs.export import (
+    dump_telemetry,
     load_telemetry,
     payload_to_prometheus,
     render_telemetry,
     telemetry_payload,
     to_prometheus,
     validate_telemetry,
-    write_telemetry,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanRecorder
@@ -36,14 +37,13 @@ def test_write_load_roundtrip(tmp_path):
         sample_registry(), recorder, spec={"seed": 7}
     )
     path = tmp_path / "telemetry.json"
-    write_telemetry(path, payload)
+    write_atomic(path, dump_telemetry(payload))
     assert load_telemetry(path) == payload
 
 
-def test_write_refuses_invalid(tmp_path):
+def test_write_refuses_invalid():
     with pytest.raises(ValueError, match="invalid telemetry"):
-        write_telemetry(tmp_path / "t.json", {"kind": "telemetry"})
-    assert not (tmp_path / "t.json").exists()
+        dump_telemetry({"kind": "telemetry"})
 
 
 def test_validate_diagnoses_malformations():
@@ -187,13 +187,11 @@ def test_render_telemetry_includes_percentiles():
 
 
 def test_write_prom_textfile_atomic(tmp_path):
-    from repro.obs.export import write_prom_textfile
-
     path = tmp_path / "node" / "repro.prom"
     path.parent.mkdir()
-    write_prom_textfile(path, to_prometheus(sample_registry()))
+    write_atomic(path, to_prometheus(sample_registry()))
     assert "depth_peak 12" in path.read_text()
     # Rewrites replace in place and leave no tmp litter behind.
-    write_prom_textfile(path, "changed 1\n")
+    write_atomic(path, "changed 1\n")
     assert path.read_text() == "changed 1\n"
     assert [p.name for p in path.parent.iterdir()] == ["repro.prom"]
