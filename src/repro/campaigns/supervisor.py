@@ -63,9 +63,10 @@ from ..core.pipeline import (
     PipelineOutcome,
     run_pipeline,
 )
-from ..durable import write_atomic
+from ..durable import sweep_temp_files, write_atomic
 from ..obs.export import dump_envelope
 from ..obs.ledger import ledger_digest, results_digest
+from ..rundir import RunDirectory, RunNotFound
 from .evolution import EvolutionPlan, evolve_spec
 
 #: Version of the ``schedule.json`` write-ahead schedule.
@@ -222,7 +223,9 @@ class CampaignSupervisor:
         mix epochs from two different longitudinal studies.  The
         *policy* is runtime control, not identity — resuming with a
         longer deadline or a different failure policy is legitimate, so
-        a changed policy is re-recorded rather than refused.
+        a changed policy is re-recorded rather than refused.  A campaign
+        re-entered first loses the temp files of killed writers, in its
+        directory and its shard cache.
         """
         if self.campaign_path.exists():
             recorded = json.loads(self.campaign_path.read_text())
@@ -234,6 +237,9 @@ class CampaignSupervisor:
                         f"campaign ({key} differs) — refusing to mix "
                         "epochs from two studies in one directory"
                     )
+            for directory in (self.base, self.base / "shardcache"):
+                if directory.is_dir():
+                    sweep_temp_files(directory)
             if recorded.get("policy") != mine["policy"]:
                 self._save(self.campaign_path, mine)
             return
@@ -308,17 +314,16 @@ class CampaignSupervisor:
     def _untrusted(self, run_dir: Path, entry: dict[str, Any]) -> bool:
         """Whether *run_dir*'s manifest cannot anchor a resume.
 
-        True when the manifest is unparseable or records a spec other
-        than this epoch's — retrying in place would fail identically
-        forever, so the whole directory must be quarantined.  A missing
-        manifest is fine (the retry binds a fresh one).
+        True when the run directory does not open or records a spec
+        other than this epoch's — retrying in place would fail
+        identically forever, so the whole directory must be
+        quarantined.  A missing manifest is fine (the retry binds a
+        fresh one).
         """
-        manifest = run_dir / "manifest.json"
-        if not manifest.exists():
-            return False
         try:
-            payload = json.loads(manifest.read_text())
-            recorded = CampaignSpec.from_payload(payload["spec"])
+            recorded = RunDirectory.open(run_dir).read_spec()
+        except RunNotFound:
+            return False
         except (ValueError, KeyError, TypeError):
             return True
         return recorded != self.epoch_spec(entry)

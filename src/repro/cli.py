@@ -57,17 +57,9 @@ _SCAN_DEFAULTS = {
 
 
 def _resume_mismatches(
-    args: argparse.Namespace, faults_payload
+    args: argparse.Namespace, spec, faults_payload
 ) -> list[str]:
-    """Explicitly-passed scan flags that contradict the recorded spec."""
-    from pathlib import Path
-
-    from .core.pipeline import MANIFEST_FILE, RunDirectory
-
-    # Look before building the RunDirectory, which creates its path.
-    if not (Path(args.resume) / MANIFEST_FILE).exists():
-        return []  # resume_pipeline reports the missing manifest
-    spec = RunDirectory(args.resume).read_spec()
+    """Explicitly-passed scan flags that contradict the recorded *spec*."""
     recorded = {
         "seed": spec.seed,
         "n_ases": spec.n_ases,
@@ -103,7 +95,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     import json as _json
     from pathlib import Path
 
-    from .core.pipeline import CampaignSpec, PipelineError
+    from .core.pipeline import CampaignSpec, PipelineError, run_pipeline
+    from .rundir import RunDirectory
 
     def status(message: str) -> None:
         # Status chatter goes to stderr so stdout carries only the
@@ -137,12 +130,14 @@ def cmd_scan(args: argparse.Namespace) -> int:
             )
             return 2
 
+    spec = None
     if args.resume is not None:
         try:
-            mismatches = _resume_mismatches(args, faults_payload)
-        except PipelineError as exc:
+            spec = RunDirectory.open(args.resume).read_spec()
+        except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return exc.exit_code
+            return 2
+        mismatches = _resume_mismatches(args, spec, faults_payload)
         if mismatches:
             print(
                 "error: --resume spec mismatch — "
@@ -155,8 +150,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         if getattr(args, name) is None:
             setattr(args, name, default)
 
-    spec = None
-    if args.resume is None:
+    if spec is None:
         try:
             spec = CampaignSpec.from_scan_config(
                 seed=args.seed,
@@ -190,17 +184,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
         ledger=args.ledger,
     )
     try:
-        if spec is None:
-            from .core.pipeline import resume_pipeline
-
-            outcome = resume_pipeline(args.resume, **options)
-        else:
-            from .core.pipeline import run_pipeline
-
-            outcome = run_pipeline(spec, run_dir=args.run_dir, **options)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        outcome = run_pipeline(
+            spec, run_dir=args.resume or args.run_dir, **options
+        )
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
@@ -247,10 +233,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
                 f"telemetry written to {outcome.run_dir}/telemetry.json"
             )
     if outcome.run_dir is not None:
-        events = Path(outcome.run_dir) / "events.ndjson"
-        if events.exists():
-            status(f"probe journal written to {events}")
-        if (Path(outcome.run_dir) / "telemetry-stream.ndjson").exists():
+        rd = RunDirectory(outcome.run_dir)
+        if rd.events_path.exists():
+            status(f"probe journal written to {rd.events_path}")
+        if rd.stream_path.exists():
             status(
                 f"telemetry stream in {outcome.run_dir} — replay with "
                 f"`repro-dsav watch {outcome.run_dir}`"
@@ -265,27 +251,27 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_obs(args: argparse.Namespace) -> int:
     import json as _json
-    from pathlib import Path
 
     from .obs.export import (
-        load_telemetry,
         obs_json_payload,
         payload_to_prometheus,
         render_telemetry,
     )
+    from .rundir import RunDirectory
 
-    path = Path(args.run_dir) / "telemetry.json"
-    if not path.exists():
+    rd = RunDirectory.open(args.run_dir)
+    try:
+        payload = rd.telemetry()
+    except ValueError as exc:  # fails its digest, or is of another version
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if payload is None:
         print(
-            f"error: {path} not found — run "
-            f"`repro-dsav scan --metrics --run-dir {args.run_dir}` first",
+            f"error: {rd.path} has no committed telemetry.json — run "
+            f"`repro-dsav scan --metrics --run-dir {rd.path}`, or finish "
+            f"the run with `repro-dsav scan --resume {rd.path}`",
             file=sys.stderr,
         )
-        return 1
-    try:
-        payload = load_telemetry(path)
-    except ValueError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
         return 1
     if args.prom:
         print(payload_to_prometheus(payload), end="")
@@ -297,17 +283,10 @@ def cmd_obs(args: argparse.Namespace) -> int:
 
 
 def cmd_watch(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from .obs.ledger import ObservatoryError, require_run_dir
     from .obs.watch import run_watch
+    from .rundir import RunDirectory
 
-    run_dir = Path(args.run_dir)
-    try:
-        require_run_dir(run_dir)
-    except ObservatoryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+    run_dir = RunDirectory.open(args.run_dir).path
     try:
         return run_watch(
             run_dir,
@@ -325,22 +304,18 @@ def cmd_watch(args: argparse.Namespace) -> int:
 
 
 def cmd_ledger(args: argparse.Namespace) -> int:
-    from .obs.ledger import Ledger, ObservatoryError, render_ledger
+    from .obs.ledger import Ledger, render_ledger
 
     ledger = Ledger(args.ledger_dir)
-    try:
-        if args.rebuild:
-            payload = ledger.rebuild()
-            print(
-                f"ledger rebuilt: {len(payload['rows'])} run(s) -> "
-                f"{ledger.path}",
-                file=sys.stderr,
-            )
-        else:
-            payload = ledger.require()
-    except ObservatoryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+    if args.rebuild:
+        payload = ledger.rebuild()
+        print(
+            f"ledger rebuilt: {len(payload['rows'])} run(s) -> "
+            f"{ledger.path}",
+            file=sys.stderr,
+        )
+    else:
+        payload = ledger.require()
     if args.json:
         from .obs.export import dump_envelope
 
@@ -352,15 +327,8 @@ def cmd_ledger(args: argparse.Namespace) -> int:
 
 def cmd_diff(args: argparse.Namespace) -> int:
     from .obs.diff import render_diff, run_diff
-    from .obs.ledger import ObservatoryError
 
-    try:
-        envelope = run_diff(
-            args.run_a, args.run_b, advisory=args.advisory
-        )
-    except ObservatoryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+    envelope = run_diff(args.run_a, args.run_b, advisory=args.advisory)
     if args.json:
         from .obs.export import dump_envelope
 
@@ -373,14 +341,9 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 
 def cmd_trend(args: argparse.Namespace) -> int:
-    from .obs.ledger import ObservatoryError
     from .obs.trend import build_trend, render_trend
 
-    try:
-        envelope = build_trend(args.ledger_dir, metric=args.metric)
-    except ObservatoryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+    envelope = build_trend(args.ledger_dir, metric=args.metric)
     if args.json:
         from .obs.export import dump_envelope
 
@@ -403,7 +366,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         run_campaign,
     )
     from .core.pipeline import CampaignSpec, PipelineError
-    from .obs.ledger import ObservatoryError
 
     def echo(message: str) -> None:
         if not getattr(args, "quiet", False):
@@ -474,7 +436,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CampaignError, PipelineError, ObservatoryError) as exc:
+    except (CampaignError, PipelineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     print(render_status(payload))
@@ -488,7 +450,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
 def cmd_explain(args: argparse.Namespace) -> int:
     import json as _json
-    from pathlib import Path
 
     from .obs.explain import (
         audit as journal_audit,
@@ -496,28 +457,27 @@ def cmd_explain(args: argparse.Namespace) -> int:
         render_asn_summary,
         render_narrative,
     )
+    from .rundir import RunDirectory
 
-    events_path = Path(args.run_dir) / "events.ndjson"
-    if not events_path.exists():
-        print(
-            f"error: {events_path} not found — run "
-            f"`repro-dsav scan --journal --run-dir {args.run_dir}` first",
-            file=sys.stderr,
-        )
-        return 1
+    # A run directory, file or journal line refused: one line, exit 2.
     try:
+        rd = RunDirectory.open(args.run_dir)
+        events_path = rd.journal()
+        if events_path is None:
+            print(
+                f"error: {rd.path} has no committed events.ndjson — run "
+                f"`repro-dsav scan --journal --run-dir {rd.path}`, or "
+                f"finish the run with `repro-dsav scan --resume {rd.path}`",
+                file=sys.stderr,
+            )
+            return 1
         index = load_index(events_path)
+        results = rd.results() if args.audit else None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     if args.audit:
-        results_path = Path(args.run_dir) / "results.json"
-        results = (
-            _json.loads(results_path.read_text())
-            if results_path.exists()
-            else None
-        )
         problems = journal_audit(index, results)
         if problems:
             for problem in problems:
@@ -527,15 +487,10 @@ def cmd_explain(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 1
-        checked = len(index.classifications)
-        suffix = (
-            ", headline counts match results.json"
-            if results is not None
-            else ""
-        )
         print(
-            f"audit OK: {checked} classifications backed by "
-            f"journal evidence{suffix}"
+            f"audit OK: {len(index.classifications)} classifications "
+            "backed by journal evidence, headline counts match "
+            "results.json"
         )
         return 0
 
@@ -812,8 +767,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenario-cache", default=None, metavar="DIR",
         help="content-keyed cache of compiled scenarios: a repeated "
         "run of the same spec loads the built world from DIR instead "
-        "of rebuilding it (also honoured via $REPRO_SCENARIO_CACHE).  "
-        "Results are byte-identical with or without a cache hit",
+        "of rebuilding it.  Results are byte-identical with or without "
+        "a cache hit",
     )
     scan.add_argument(
         "--profile", action="store_true",
@@ -1079,9 +1034,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    from .obs.ledger import ObservatoryError
+    from .rundir import RunDirectoryError
+
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except (ObservatoryError, RunDirectoryError) as exc:
+        # A run directory, run file or ledger a command refuses.
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
     except BrokenPipeError:
         # Downstream consumer (head, jq -e …) closed stdout; that is a
         # normal way to stop reading any of our output.  Detach stdout

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from ..rundir import RESULTS_SCHEMA_VERSION
 from .analysis import (
     CountryRow,
     ForwardingStats,
@@ -62,18 +63,6 @@ from .targets import TargetSet
 
 if TYPE_CHECKING:
     from ..scenarios.internet import BuiltScenario
-
-
-#: Version of the :meth:`Campaign.results_dict` JSON schema.  Bumped
-#: whenever keys move or change meaning so downstream consumers of a
-#: data release can dispatch on it.  2 = added ``schema_version`` +
-#: ``provenance`` header (staged-pipeline release); 3 = provenance
-#: carries the run's identity keys (``scenario_content_key``,
-#: ``topology``, ``fault_plan_digest``) so the cross-run observatory
-#: can gate comparability without rebuilding the scenario.  Version
-#: 2 artifacts stay readable via
-#: :func:`repro.core.report.normalize_results`.
-RESULTS_SCHEMA_VERSION = 3
 
 
 @dataclass

@@ -12,7 +12,9 @@ stage                 artifact
 ``scan``              ``shard-NNN.json`` per shard: scan counters + the
                       shard's serialized :class:`Collector` state
 ``collect``           ``observations.json``: the merged collection
-``analyze``           ``results.json``: the full :meth:`results_dict`
+``analyze``           ``results.json``: the full :meth:`results_dict`, and
+                      the classified ``events.ndjson`` when the spec
+                      journals
 ``report``            ``report.txt``: the rendered text report, and
                       ``telemetry.json`` when the spec collects metrics
 ====================  =====================================================
@@ -69,6 +71,7 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import signal
+import threading
 import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
@@ -82,7 +85,14 @@ from ..netsim.topology import TopologySpec
 from ..obs.export import dump_telemetry, telemetry_payload
 from ..obs.metrics import MetricsRegistry
 from ..obs.spans import SpanRecorder, activate, span
-from ..obs.stream import STREAM_FILE, StreamWriter, TelemetrySnapshotter
+from ..obs.stream import StreamWriter, TelemetrySnapshotter
+from ..rundir import (
+    ARTIFACT_SCHEMA_VERSION,
+    STAGES,
+    RunDirectory,
+    UntrustedArtifact,
+    json_text,
+)
 from .campaign import Campaign, ScanMetadata
 from .collection import Collector
 from .scanner import ScanConfig
@@ -90,13 +100,6 @@ from .targets import TargetSet
 
 if TYPE_CHECKING:
     from ..scenarios.internet import BuiltScenario
-
-#: Version stamped into every artifact this module writes.  Readers
-#: refuse artifacts from a different version rather than guessing.
-ARTIFACT_SCHEMA_VERSION = 1
-
-#: Stage names, in execution order.
-STAGES = ("build", "scan", "collect", "analyze", "report")
 
 #: Executions allowed per scan shard (1 initial + capped re-runs of a
 #: crashed or killed worker) before the run is declared partial.
@@ -303,7 +306,12 @@ class CampaignSpec:
 
     @classmethod
     def from_payload(cls, payload: dict[str, Any]) -> "CampaignSpec":
-        _check_version(payload, "campaign spec")
+        version = payload.get("schema_version")
+        if version != ARTIFACT_SCHEMA_VERSION:
+            raise ValueError(
+                f"campaign spec has schema_version={version!r}, "
+                f"this code reads version {ARTIFACT_SCHEMA_VERSION}"
+            )
         return cls(
             seed=payload["seed"],
             n_ases=payload["n_ases"],
@@ -323,211 +331,26 @@ class CampaignSpec:
         )
 
 
-def _check_version(payload: dict[str, Any], what: str) -> None:
-    version = payload.get("schema_version")
-    if version != ARTIFACT_SCHEMA_VERSION:
-        raise ValueError(
-            f"{what} has schema_version={version!r}, "
-            f"this code reads version {ARTIFACT_SCHEMA_VERSION}"
-        )
+def quarantine(path: Path) -> Path:
+    """Move a corrupt artifact aside so the next resume re-derives it."""
+    quarantined = path.with_name(path.name + ".quarantined")
+    os.replace(path, quarantined)
+    return quarantined
 
 
-#: The run directory's manifest; a directory without one is not a run.
-MANIFEST_FILE = "manifest.json"
-
-
-class RunDirectory:
-    """Artifact store for one pipeline run.
-
-    Lays out ``manifest.json`` (the spec plus stage bookkeeping),
-    ``shard-NNN.json`` per scan shard, ``observations.json``,
-    ``results.json``, ``report.txt`` and ``telemetry.json`` under one
-    directory.
-
-    The manifest is the only record of what is committed.
-    :meth:`commit` renames a stage's files (or a scan round's shard
-    artifacts) into place, then rewrites the manifest once with their
-    sha256 digests and the stage mark.  A file the manifest does not
-    record — one renamed just before a kill, or a ``*.tmp<pid>``
-    leftover — is never read: a resume re-derives it.
-    """
-
-    def __init__(self, path) -> None:
-        self.path = Path(path)
-        self.path.mkdir(parents=True, exist_ok=True)
-        self._manifest: dict[str, Any] | None = None
-
-    # -- paths -----------------------------------------------------------
-
-    @property
-    def manifest_path(self) -> Path:
-        return self.path / MANIFEST_FILE
-
-    def shard_path(self, shard_id: int) -> Path:
-        return self.path / f"shard-{shard_id:03d}.json"
-
-    @property
-    def observations_path(self) -> Path:
-        return self.path / "observations.json"
-
-    @property
-    def results_path(self) -> Path:
-        return self.path / "results.json"
-
-    @property
-    def report_path(self) -> Path:
-        return self.path / "report.txt"
-
-    @property
-    def telemetry_path(self) -> Path:
-        return self.path / "telemetry.json"
-
-    @property
-    def events_path(self) -> Path:
-        return self.path / "events.ndjson"
-
-    def shard_events_path(self, shard_id: int) -> Path:
-        return self.path / f"events-{shard_id:03d}.ndjson"
-
-    @property
-    def stream_path(self) -> Path:
-        """The run's live telemetry stream (``repro watch`` tails it)."""
-        return self.path / STREAM_FILE
-
-    @property
-    def faults_path(self) -> Path:
-        return self.path / "faults.json"
-
-    def profile_path(self, shard_id: int) -> Path:
-        """cProfile stats dumped by shard workers under ``--profile``."""
-        return self.path / f"profile-{shard_id:03d}.pstats"
-
-    def crash_marker_glob(self, shard_id: int, clause_index: int):
-        """Markers left by already-fired shard-crash clauses."""
-        return self.path.glob(
-            f"crash-{shard_id:03d}-c{clause_index}-*.marker"
-        )
-
-    def crash_marker_path(
-        self, shard_id: int, clause_index: int, firing: int
-    ) -> Path:
-        return self.path / (
-            f"crash-{shard_id:03d}-c{clause_index}-{firing}.marker"
-        )
-
-    # -- manifest --------------------------------------------------------
-
-    @property
-    def manifest(self) -> dict[str, Any]:
-        """The manifest as last committed, read from disk once."""
-        if self._manifest is None:
-            try:
-                self._manifest = json.loads(self.manifest_path.read_bytes())
-            except ValueError as exc:
-                raise ArtifactCorruptError(
-                    f"{self.manifest_path} is not valid JSON ({exc}); the "
-                    "run directory cannot be trusted — delete it and rerun"
-                ) from exc
-        return self._manifest
-
-    def read_spec(self) -> CampaignSpec:
-        """Load the spec recorded in the manifest (for ``--resume``)."""
-        return CampaignSpec.from_payload(self.manifest["spec"])
-
-    def bind_spec(self, spec: CampaignSpec) -> None:
-        """Record *spec* in the manifest, or verify it matches.
-
-        A run directory belongs to exactly one spec; re-entering it with
-        different parameters would silently mix artifacts from two
-        different campaigns, so that is an error.
-        """
-        if self.manifest_path.exists():
-            recorded = self.read_spec()
-            if recorded != spec:
-                raise ValueError(
-                    f"run directory {self.path} was created for "
-                    f"{recorded}, refusing to reuse it for {spec}"
-                )
-            return
-        self._manifest = {
-            "schema_version": ARTIFACT_SCHEMA_VERSION,
-            "spec": spec.to_payload(),
-            "stages_completed": [],
-        }
-        write_atomic(self.manifest_path, _json_text(self._manifest))
-
-    def commit(
-        self, files: dict[str, str], stage: str | None = None
-    ) -> None:
-        """Rename *files* (name → content) into place, then record their
-        sha256 digests and *stage* in one manifest write.
-
-        The digests are hashed from the bytes in hand, so reads can
-        verify a file against them without this step reading it back.
-        """
-        completed = self.manifest["stages_completed"]
-        if not files and (stage is None or stage in completed):
-            return
-        artifacts = self.manifest.setdefault("artifacts", {})
-        for name, text in files.items():
-            data = text.encode()
-            write_atomic(self.path / name, data)
-            artifacts[name] = hashlib.sha256(data).hexdigest()
-        if stage is not None and stage not in completed:
-            completed.append(stage)
-        write_atomic(self.manifest_path, _json_text(self.manifest))
-
-    def committed(self, name: str) -> bool:
-        """Whether the manifest records *name* and the file is there."""
-        return (
-            name in self.manifest.get("artifacts", {})
-            and (self.path / name).exists()
-        )
-
-    def complete(self, spec: CampaignSpec) -> bool:
-        """Whether every stage that writes files (all but build) is
-        committed, with the files a finished run of *spec* serves."""
-        final = [self.results_path, self.report_path]
-        if spec.metrics:
-            final.append(self.telemetry_path)
-        return all(
-            stage in self.manifest["stages_completed"] for stage in STAGES[1:]
-        ) and all(self.committed(path.name) for path in final)
-
-    def quarantine(self, path: Path) -> Path:
-        """Move a corrupt artifact aside so resume regenerates it."""
-        quarantined = path.with_name(path.name + ".quarantined")
-        os.replace(path, quarantined)
-        return quarantined
-
-
-def _json_text(payload: dict[str, Any]) -> str:
-    """The encoding of every JSON artifact this module writes."""
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _read_artifact(
-    rd: RunDirectory, path: Path, what: str, *, parse_json: bool = True
-) -> Any:
-    """Read a committed artifact, verifying the digest its commit recorded.
-
-    Callers read only what :meth:`RunDirectory.committed` vouches for.
-    A file whose bytes differ from the recorded digest is quarantined,
-    and the resume fails with a clear error; the next resume
-    re-derives it.
-    """
-    raw = path.read_bytes()
-    recorded = rd.manifest["artifacts"][path.name]
-    actual = hashlib.sha256(raw).hexdigest()
-    if actual != recorded:
-        quarantined = rd.quarantine(path)
+def _read_artifact(read, what: str):
+    """``read()`` a committed artifact, the resume's way: one that fails
+    its digest is quarantined, so the next resume re-derives it."""
+    try:
+        return read()
+    except UntrustedArtifact as exc:
+        quarantined = quarantine(exc.path)
         raise ArtifactCorruptError(
-            f"{what} at {path} failed its checksum "
-            f"(recorded {recorded[:12]}…, found {actual[:12]}…); "
+            f"{what} at {exc.path} failed its checksum "
+            f"(recorded {exc.recorded[:12]}…, found {exc.actual[:12]}…); "
             f"moved to {quarantined.name} — rerun with --resume to "
             "regenerate it"
-        )
-    return json.loads(raw) if parse_json else raw
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -696,8 +519,7 @@ def run_scan_shard(payload: dict[str, Any], report=None) -> dict[str, Any]:
         from ..obs.journal import Journal
 
         journal = Journal(
-            shard_id=shard_id,
-            path=Path(run_dir) / f"events-{shard_id:03d}.ndjson",
+            shard_id=shard_id, path=rd.shard_events_path(shard_id)
         )
     fault_plan = spec.fault_plan()
     fuse = None
@@ -997,7 +819,7 @@ class ShardCache:
             "sha256": hashlib.sha256(canonical.encode()).hexdigest(),
             "body": body,
         }
-        write_atomic(self._path(key), _json_text(envelope))
+        write_atomic(self._path(key), json_text(envelope))
 
 
 class _ShardCacheContext:
@@ -1113,6 +935,14 @@ def _relay(progress, stream: StreamWriter | None, shard_id: int, events):
         stream.write(events)
 
 
+def _exit_with_parent() -> None:
+    """End this worker the moment its parent process ends: the parent's
+    sentinel becomes ready when it exits or is killed."""
+    parent = multiprocessing.parent_process()
+    multiprocessing.connection.wait([parent.sentinel])
+    os._exit(1)
+
+
 def _fork_shard_main(job: dict[str, Any], conn) -> None:
     """Entry point of one shard worker process.
 
@@ -1121,8 +951,10 @@ def _fork_shard_main(job: dict[str, Any], conn) -> None:
     ``("err", cause)``, where *cause* is a ``"<Type>: <message>"``
     string, so no exception crosses the pipe.  Any death without a
     message (scripted SIGKILL, OOM, hang reaper) surfaces to the parent
-    as EOF on the pipe.
+    as EOF on the pipe.  A daemon thread ends the worker when its parent
+    dies, whatever the worker is doing.
     """
+    threading.Thread(target=_exit_with_parent, daemon=True).start()
     try:
         artifact = run_scan_shard(
             job, lambda events: conn.send(("report", events))
@@ -1161,7 +993,8 @@ def _run_fork_round(
     exits — then SIGKILL after :data:`_TERM_GRACE` seconds more, both
     through its own ``Process`` object.  An unread message on its pipe
     counts as life, so a parent slow to read never reaps a healthy
-    worker.
+    worker.  No worker outlives this process (see
+    :func:`_fork_shard_main`).
     """
     ctx = multiprocessing.get_context(_START_METHOD)
     completed: list[dict[str, Any]] = []
@@ -1304,10 +1137,9 @@ def run_pipeline(
 
     ``scenario_cache`` names a content-keyed scenario cache directory
     (or passes a :class:`~repro.scenarios.compiled.ScenarioCache`);
-    ``None`` falls back to the ``REPRO_SCENARIO_CACHE`` environment
-    variable, and no cache at all simply builds cold.  The cache is an
-    execution detail, not campaign identity: hits and cold builds
-    produce byte-identical artifacts.  ``profile`` makes every scan
+    ``None`` builds cold.  The cache is an execution detail, not
+    campaign identity: hits and cold builds produce byte-identical
+    artifacts.  ``profile`` makes every scan
     shard dump cProfile stats into the run directory, so it needs one.
     ``ledger`` names a cross-run ledger directory:
     after the run completes its row is appended to (or refreshed in)
@@ -1365,22 +1197,20 @@ def run_pipeline(
             # The plan is part of the spec, but a standalone artifact
             # makes the chaos configuration of a run auditable without
             # digging through the manifest.
-            rd.commit({rd.faults_path.name: _json_text(dict(spec.faults))})
+            rd.commit({rd.faults_path.name: json_text(dict(spec.faults))})
     stages_run: list[str] = []
     stages_skipped: list[str] = []
 
     # Every stage committed, with its files: serve the run without
-    # rebuilding anything.
-    if rd is not None and rd.complete(spec):
-        results = _read_artifact(rd, rd.results_path, "results artifact")
+    # rebuilding anything, once every file it serves passes its digest.
+    if rd is not None and rd.complete():
+        results = _read_artifact(rd.results, "results artifact")
         report = _read_artifact(
-            rd, rd.report_path, "report artifact", parse_json=False
+            partial(rd.read_bytes, rd.report_path.name), "report artifact"
         ).decode()
-        telemetry = (
-            _read_artifact(rd, rd.telemetry_path, "telemetry artifact")
-            if spec.metrics
-            else None
-        )
+        telemetry = _read_artifact(rd.telemetry, "telemetry artifact")
+        _read_artifact(rd.observations, "observations artifact")
+        _read_artifact(rd.journal, "journal")
         _append_ledger(ledger, rd)
         return PipelineOutcome(
             campaign=None,
@@ -1408,12 +1238,9 @@ def run_pipeline(
         )
 
         params = spec.scenario_params()
-        if scenario_cache is None:
-            cache = ScenarioCache.from_env()
-        elif isinstance(scenario_cache, ScenarioCache):
-            cache = scenario_cache
-        else:
-            cache = ScenarioCache(scenario_cache)
+        cache = scenario_cache
+        if cache is not None and not isinstance(cache, ScenarioCache):
+            cache = ScenarioCache(cache)
         with span("build"):
             scenario, _, scenario_source = build_or_load(
                 params, cache=cache
@@ -1487,7 +1314,7 @@ def run_pipeline(
                     "collection": collector.to_payload(),
                 }
                 rd.commit(
-                    {rd.observations_path.name: _json_text(observations)},
+                    {rd.observations_path.name: json_text(observations)},
                     "collect",
                 )
         stages_run.append("collect")
@@ -1519,12 +1346,18 @@ def run_pipeline(
                 sample=spec.asn_sample,
             )
             results = campaign.results_dict()
+            journal: tuple[str, ...] = ()
             if spec.journal and rd is not None:
                 from ..obs.journal import append_classifications
 
                 append_classifications(rd.events_path, collector)
+                journal = (rd.events_path.name,)
         if rd is not None:
-            rd.commit({rd.results_path.name: _json_text(results)}, "analyze")
+            rd.commit(
+                {rd.results_path.name: json_text(results)},
+                "analyze",
+                written=journal,
+            )
         stages_run.append("analyze")
 
         # -- report
@@ -1572,14 +1405,9 @@ def resume_pipeline(
     ledger=None,
     shard_cache=None,
 ) -> PipelineOutcome:
-    """Resume the campaign recorded in *run_dir*'s manifest."""
-    # Look before building the RunDirectory, which creates its path.
-    manifest = Path(run_dir) / MANIFEST_FILE
-    if not manifest.exists():
-        raise FileNotFoundError(
-            f"{manifest} not found: not a pipeline run directory"
-        )
-    spec = RunDirectory(run_dir).read_spec()
+    """Resume the campaign recorded in *run_dir*'s manifest (a
+    ``FileNotFoundError`` when no run has started there)."""
+    spec = RunDirectory.open(run_dir).read_spec()
     return run_pipeline(
         spec,
         run_dir=run_dir,
@@ -1698,9 +1526,8 @@ def _run_scan_stage(
             and (not spec.journal or rd.shard_events_path(shard_id).exists())
         ):
             artifact = _read_artifact(
-                rd, rd.shard_path(shard_id), f"shard {shard_id} artifact"
+                partial(rd.shard, shard_id), f"shard {shard_id} artifact"
             )
-            _check_version(artifact, f"shard {shard_id} artifact")
         elif shard_id in shard_keys:
             body = shard_ctx.cache.load(shard_keys[shard_id])
             if body is not None:
@@ -1712,7 +1539,7 @@ def _run_scan_stage(
                     write_atomic(
                         rd.shard_events_path(shard_id), body["events"]
                     )
-                hit_files[rd.shard_path(shard_id).name] = _json_text(
+                hit_files[rd.shard_path(shard_id).name] = json_text(
                     artifact
                 )
                 cache_hits.append(shard_id)
@@ -1809,7 +1636,7 @@ def _run_scan_stage(
                     shard_ctx.store_artifact(
                         shard_keys[shard_id], artifact, events
                     )
-                files[rd.shard_path(shard_id).name] = _json_text(artifact)
+                files[rd.shard_path(shard_id).name] = json_text(artifact)
             if rd is not None:
                 rd.commit(files, None if failed else "scan")
             if not failed:

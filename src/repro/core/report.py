@@ -233,37 +233,3 @@ def render_qmin(stats: QminStats) -> str:
         f"{stats.minimizing_asns_with_dsav_evidence} "
         f"({_pct(stats.dsav_evidence_fraction)})"
     )
-
-
-# ---------------------------------------------------------------------------
-# results.json artifact header (cross-run observatory support)
-# ---------------------------------------------------------------------------
-
-#: results.json schema versions this reader understands.  Version 2
-#: artifacts predate the run-identity provenance keys; they normalize
-#: to the v3 shape with those keys absent (``None``) so the
-#: observatory degrades to spec-based comparability instead of
-#: refusing old runs outright.
-READABLE_RESULTS_VERSIONS = (2, 3)
-
-
-def normalize_results(payload: dict) -> dict:
-    """Back-compat reader for ``results.json`` artifacts.
-
-    Returns *payload* with its provenance normalized to the v3 shape:
-    ``scenario_content_key`` / ``topology`` / ``fault_plan_digest``
-    present (``None`` where a v2 artifact never recorded them).  Raises
-    ``ValueError`` on artifacts from an unknown schema version.
-    """
-    version = payload.get("schema_version")
-    if version not in READABLE_RESULTS_VERSIONS:
-        raise ValueError(
-            f"results artifact has schema_version={version!r}; this "
-            f"code reads versions {list(READABLE_RESULTS_VERSIONS)}"
-        )
-    out = dict(payload)
-    provenance = dict(out.get("provenance", {}))
-    for key in ("scenario_content_key", "topology", "fault_plan_digest"):
-        provenance.setdefault(key, None)
-    out["provenance"] = provenance
-    return out

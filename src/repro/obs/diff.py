@@ -18,8 +18,10 @@ telemetry of two runs field-by-field:
   per-metric-family sample deltas (deterministic families are exact;
   others are annotated as advisory).
 
-Everything is a pure function of the two run directories: the same
-inputs render byte-identical output, ``diff(A, A)`` is empty, and
+Everything is a pure function of the files the two runs' manifests
+commit, each read through :class:`~repro.rundir.RunDirectory` and
+checked against its digest: the same inputs render byte-identical
+output, ``diff(A, A)`` is empty, and
 ``mirror(run_diff(a, b)) == run_diff(b, a)`` (antisymmetry) — asserted
 by ``test_self_diff_is_empty_and_deterministic`` and
 ``test_diff_is_antisymmetric``.
@@ -28,14 +30,9 @@ by ``test_self_diff_is_empty_and_deterministic`` and
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
-from .ledger import (
-    ObservatoryError,
-    load_results,
-    require_run_dir,
-    spec_key,
-)
+from ..rundir import RunDirectory
+from .ledger import ObservatoryError, refusals, spec_key
 
 #: Version of the diff --json envelope.
 DIFF_SCHEMA_VERSION = 1
@@ -54,41 +51,34 @@ _FLIP_MIRROR = {
 
 
 def _load_facts(run_path) -> dict:
-    """Everything the diff reads from one run directory."""
-    run_path = Path(run_path)
-    manifest = require_run_dir(run_path)
-    results = load_results(run_path)
-    provenance = results.get("provenance", {})
-    spec = manifest.get("spec", {})
+    """The run and its identity, as the diff compares them."""
+    rd = RunDirectory.open(run_path)
+    results = rd.results()
+    provenance = results["provenance"]
+    spec = rd.manifest["spec"]
     return {
-        "path": run_path,
+        "run": rd,
         "spec": spec,
         "results": results,
-        "scenario_key": provenance.get("scenario_content_key"),
-        "topology": provenance.get("topology")
-        or ("tiered" if spec.get("topology") is not None else "star"),
-        "fault_digest": provenance.get("fault_plan_digest"),
+        "scenario_key": provenance["scenario_content_key"],
+        "topology": provenance["topology"],
+        "fault_digest": provenance["fault_plan_digest"],
         "spec_key": spec_key(spec),
         "lineage": (provenance.get("evolution") or {}).get("lineage"),
-        "legacy": provenance.get("scenario_content_key") is None,
     }
 
 
-def _asn_table(run_path: Path) -> dict | None:
+def _asn_table(rd: RunDirectory) -> dict | None:
     """``{(family, asn): [reached targets]}``, or None if unscanned.
 
     An entry means the run attributed at least one spoofed-source hit
     inside that AS — the paper's "AS lacks DSAV" verdict.
     """
-    path = run_path / "observations.json"
-    if not path.exists():
+    payload = rd.observations()
+    if payload is None:
         return None
-    try:
-        payload = json.loads(path.read_text())
-    except ValueError as exc:
-        raise ObservatoryError(f"{path} is not valid JSON ({exc})")
     table: dict = {}
-    for obs in payload.get("collection", {}).get("observations", []):
+    for obs in payload["collection"]["observations"]:
         if not obs.get("categories"):
             continue
         family = 6 if ":" in obs["target"] else 4
@@ -96,38 +86,23 @@ def _asn_table(run_path: Path) -> dict | None:
     return table
 
 
-def _asn_evidence(run_path: Path) -> dict:
+def _asn_evidence(rd: RunDirectory) -> dict:
     """``{(family, asn): [probe ids]}`` from journal classifications."""
-    path = run_path / "events.ndjson"
-    if not path.exists():
+    path = rd.journal()
+    if path is None:
         return {}
     evidence: dict = {}
     with path.open() as handle:
         for line in handle:
             if '"classify.asn"' not in line:
                 continue
-            try:
-                event = json.loads(line)
-            except ValueError:
-                continue
+            event = json.loads(line)  # verified: every line parses
             if event.get("kind") != "classify.asn":
                 continue
             evidence[(event["family"], event["asn"])] = event.get(
                 "probes", []
             )
     return evidence
-
-
-def _telemetry(run_path: Path) -> dict | None:
-    from .export import load_telemetry
-
-    path = run_path / "telemetry.json"
-    if not path.exists():
-        return None
-    try:
-        return load_telemetry(path)
-    except ValueError:
-        return None
 
 
 def _drop_totals(telemetry: dict) -> dict:
@@ -167,39 +142,22 @@ def _identity(a: dict, b: dict) -> dict:
 def _comparability(a: dict, b: dict, identity: dict) -> dict:
     notes = []
     comparable = True
-    if a["legacy"] or b["legacy"]:
-        notes.append(
-            "legacy v2 results artifact present: comparability gated "
-            "on the manifest spec instead of the scenario content key"
-        )
-        same_world = (
-            a["spec"].get("seed") == b["spec"].get("seed")
-            and a["spec"].get("n_ases") == b["spec"].get("n_ases")
-            and a["spec"].get("topology") == b["spec"].get("topology")
-        )
-        if not same_world:
+    same_lineage = a["lineage"] is not None and a["lineage"] == b["lineage"]
+    if not identity["scenario_key"]["equal"]:
+        if same_lineage:
+            # Epochs of one evolved campaign: the worlds differ on
+            # purpose, and that drift is exactly what the diff is for.
+            notes.append(
+                "scenario content keys differ but both runs are epochs "
+                "of one evolution lineage — flips below reflect "
+                "evolved-world drift"
+            )
+        else:
             comparable = False
-            notes.append("manifest specs describe different worlds")
-    else:
-        same_lineage = (
-            a["lineage"] is not None and a["lineage"] == b["lineage"]
-        )
-        if not identity["scenario_key"]["equal"]:
-            if same_lineage:
-                # Epochs of one evolved campaign: the worlds differ on
-                # purpose, and that drift is exactly what the diff is
-                # for.
-                notes.append(
-                    "scenario content keys differ but both runs are "
-                    "epochs of one evolution lineage — flips below "
-                    "reflect evolved-world drift"
-                )
-            else:
-                comparable = False
-                notes.append("scenario content keys differ")
-        if not identity["topology"]["equal"]:
-            comparable = False
-            notes.append("topology modes differ")
+            notes.append("scenario content keys differ")
+    if not identity["topology"]["equal"]:
+        comparable = False
+        notes.append("topology modes differ")
     if comparable and not identity["fault_digest"]["equal"]:
         notes.append(
             "fault plans differ — flips below reflect seed-driven "
@@ -384,14 +342,16 @@ def run_diff(run_a, run_b, *, advisory: bool = False) -> dict:
     (different scenario / topology) unless *advisory* downgrades the
     comparison instead of refusing it.
     """
-    facts_a = _load_facts(run_a)
-    facts_b = _load_facts(run_b)
+    with refusals():
+        facts_a = _load_facts(run_a)
+        facts_b = _load_facts(run_b)
+    rd_a, rd_b = facts_a["run"], facts_b["run"]
     identity = _identity(facts_a, facts_b)
     comparability = _comparability(facts_a, facts_b, identity)
     if comparability["verdict"] == "incomparable":
         if not advisory:
             raise ObservatoryError(
-                f"{facts_a['path']} and {facts_b['path']} are not "
+                f"{rd_a.path} and {rd_b.path} are not "
                 f"comparable ({'; '.join(comparability['notes'])}) — "
                 "pass --advisory to diff them anyway"
             )
@@ -400,12 +360,10 @@ def run_diff(run_a, run_b, *, advisory: bool = False) -> dict:
             "notes": comparability["notes"],
         }
 
-    table_a = _asn_table(facts_a["path"])
-    table_b = _asn_table(facts_b["path"])
-    evidence_a = _asn_evidence(facts_a["path"])
-    evidence_b = _asn_evidence(facts_b["path"])
-    tele_a = _telemetry(facts_a["path"])
-    tele_b = _telemetry(facts_b["path"])
+    with refusals():
+        table_a, table_b = _asn_table(rd_a), _asn_table(rd_b)
+        evidence_a, evidence_b = _asn_evidence(rd_a), _asn_evidence(rd_b)
+        tele_a, tele_b = rd_a.telemetry(), rd_b.telemetry()
 
     flips = _flips(table_a, table_b, evidence_a, evidence_b)
     drop_changes = _drop_changes(tele_a, tele_b)
@@ -426,8 +384,8 @@ def run_diff(run_a, run_b, *, advisory: bool = False) -> dict:
     return {
         "schema_version": DIFF_SCHEMA_VERSION,
         "kind": "run-diff",
-        "a": str(facts_a["path"]),
-        "b": str(facts_b["path"]),
+        "a": str(rd_a.path),
+        "b": str(rd_b.path),
         "comparability": comparability,
         "identity": identity,
         "headline": _headline_delta(

@@ -102,31 +102,22 @@ _FAST_ENCODER = json.JSONEncoder(
 )
 
 
+#: Events a :class:`Journal` buffers before it flushes them to its file.
+_MAX_BUFFERED = 100_000
+
+
 class Journal:
     """Bounded in-memory event buffer, flushing to an NDJSON file.
 
-    With a ``path``, the buffer flushes to disk whenever it reaches
-    ``max_buffered`` events (and on :meth:`flush`); the first flush
-    truncates any stale file from an earlier crashed run.  Without a
-    path the journal is purely in-memory and *drops* events beyond the
-    bound, counting them in ``events_dropped`` — it never grows without
-    limit on long runs.
+    The buffer flushes to *path* whenever it reaches
+    :data:`_MAX_BUFFERED` events (and on :meth:`flush`); the first
+    flush truncates any stale file from an earlier crashed run.
     """
 
-    def __init__(
-        self,
-        *,
-        shard_id: int = 0,
-        path: Path | str | None = None,
-        max_buffered: int = 100_000,
-    ) -> None:
-        if max_buffered < 1:
-            raise ValueError("max_buffered must be >= 1")
+    def __init__(self, *, path: Path | str, shard_id: int = 0) -> None:
         self.shard_id = shard_id
-        self.path = Path(path) if path is not None else None
-        self.max_buffered = max_buffered
+        self.path = Path(path)
         self.events_emitted = 0
-        self.events_dropped = 0
         self._buffer: list[dict[str, Any]] = []
         self._seq = 0
         self._flushed_any = False
@@ -188,15 +179,12 @@ class Journal:
         instead measurably slows every gen-2 collection under a scan.
         """
         self.events_emitted += 1
-        if self.path is None and len(self._buffer) >= self.max_buffered:
-            self.events_dropped += 1
-            return
         seq = self._seq
         self._seq = seq + 1
         self._buffer.append(
             f'{{{body},"v":{JOURNAL_SCHEMA_VERSION},"seq":{seq}}}'
         )
-        if self.path is not None and len(self._buffer) >= self.max_buffered:
+        if len(self._buffer) >= _MAX_BUFFERED:
             self.flush()
 
     def record(self, event: dict[str, Any]) -> None:
@@ -207,14 +195,11 @@ class Journal:
         hot paths use the typed methods below.
         """
         self.events_emitted += 1
-        if self.path is None and len(self._buffer) >= self.max_buffered:
-            self.events_dropped += 1
-            return
         event["v"] = JOURNAL_SCHEMA_VERSION
         event["seq"] = self._seq
         self._seq += 1
         self._buffer.append(_FAST_ENCODER.encode(event))
-        if self.path is not None and len(self._buffer) >= self.max_buffered:
+        if len(self._buffer) >= _MAX_BUFFERED:
             self.flush()
 
     def emit(
@@ -338,11 +323,6 @@ class Journal:
 
     # -- persistence -----------------------------------------------------
 
-    @property
-    def pending(self) -> list[dict[str, Any]]:
-        """Events currently buffered in memory, parsed back to dicts."""
-        return [json.loads(line) for line in self._buffer]
-
     def flush(self) -> int:
         """Write buffered events to ``path``; returns events written.
 
@@ -351,8 +331,6 @@ class Journal:
         :func:`merge_shard_journals` re-serializes every line
         canonically anyway.
         """
-        if self.path is None:
-            return 0
         if not self._buffer and self._flushed_any:
             return 0
         mode = "a" if self._flushed_any else "w"

@@ -1,12 +1,13 @@
 """Cross-run ledger: a versioned index of campaign run directories.
 
-One row per completed run, derived **only** from the artifacts already
-on disk (``manifest.json``, ``results.json``, ``telemetry.json``), so
-the ledger is a pure function of the run directories it indexes:
-appending rows one run at a time and rebuilding from scratch with
-``repro-dsav ledger <dir> --rebuild`` produce byte-identical
-``ledger.json`` files (``test_rebuild_is_byte_identical_to_incremental``
-asserts this).
+One row per completed run, derived **only** from the files its manifest
+commits (``results.json``, ``telemetry.json``), read through
+:class:`~repro.rundir.RunDirectory`, so the ledger is a pure function
+of the run directories it indexes: the pipeline appends a run's row
+after its report commit, :meth:`Ledger.rebuild` indexes exactly the
+runs whose manifest records them complete, and the two produce
+byte-identical ``ledger.json`` files
+(``test_rebuild_is_byte_identical_to_incremental`` asserts this).
 
 Each row carries the run's identity (spec content key, scenario
 ``content_key``, topology mode, fault-plan digest), the schema/code
@@ -15,8 +16,8 @@ versions that produced it, headline stats, a results digest (the same
 ``test_star_topology_results_match_pin``), a
 telemetry digest over the deterministic metric families, and wall
 timings.  ``repro-dsav trend`` consumes the ledger as its time-series
-store; ``repro-dsav diff`` shares this module's run-directory loading
-and comparability keys.
+store; ``repro-dsav diff`` shares this module's refusals and
+comparability keys.
 """
 
 from __future__ import annotations
@@ -25,10 +26,13 @@ import hashlib
 import json
 import os
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
-from ..durable import write_atomic
-from .export import dump_envelope, validate_envelope
+from ..durable import pid_alive, write_atomic
+from ..rundir import RunDirectory, RunDirectoryError, RunNotFound
+from .export import deterministic_counters, dump_envelope, validate_envelope
 
 #: Version of the ledger.json envelope.
 LEDGER_SCHEMA_VERSION = 1
@@ -59,63 +63,14 @@ def spec_key(spec_payload: dict) -> str:
     return _sha256(identity)
 
 
-def require_run_dir(path) -> dict:
-    """Load and vet a run directory's manifest, or raise a one-liner.
-
-    Every observatory entry point (``watch``, ``diff``, ``trend``, the
-    ledger) funnels through here so a missing or legacy manifest yields
-    one actionable error line (CLI exit 2) instead of a traceback.
-    """
-    from ..core.pipeline import ARTIFACT_SCHEMA_VERSION
-
-    path = Path(path)
-    if not path.is_dir():
-        raise ObservatoryError(f"{path} is not a directory")
-    manifest_path = path / "manifest.json"
-    if not manifest_path.exists():
-        raise ObservatoryError(
-            f"{path} has no manifest.json — not a pipeline run "
-            "directory (create runs with `repro-dsav scan --run-dir`)"
-        )
+@contextmanager
+def refusals() -> Iterator[None]:
+    """Inside the block, a run directory or run file the observatory
+    must refuse raises :class:`ObservatoryError` with its one line."""
     try:
-        manifest = json.loads(manifest_path.read_text())
-    except ValueError as exc:
-        raise ObservatoryError(
-            f"{manifest_path} is not valid JSON ({exc}) — the run "
-            "directory cannot be trusted"
-        )
-    version = manifest.get("schema_version")
-    if version != ARTIFACT_SCHEMA_VERSION:
-        raise ObservatoryError(
-            f"{manifest_path} has schema_version={version!r}, this "
-            f"code reads version {ARTIFACT_SCHEMA_VERSION} — re-run "
-            "the campaign with this release"
-        )
-    return manifest
-
-
-def load_results(path) -> dict:
-    """A run's normalized ``results.json`` (v2 artifacts upgraded)."""
-    from ..core.report import normalize_results
-
-    path = Path(path)
-    results_path = path / "results.json"
-    if not results_path.exists():
-        raise ObservatoryError(
-            f"{path} has no results.json — the run has not completed "
-            "its analyze stage (finish it with `repro-dsav scan "
-            f"--resume {path}`)"
-        )
-    try:
-        payload = json.loads(results_path.read_text())
-    except ValueError as exc:
-        raise ObservatoryError(
-            f"{results_path} is not valid JSON ({exc})"
-        )
-    try:
-        return normalize_results(payload)
-    except ValueError as exc:
-        raise ObservatoryError(f"{results_path}: {exc}")
+        yield
+    except RunDirectoryError as exc:
+        raise ObservatoryError(str(exc)) from None
 
 
 def results_digest(results: dict) -> str:
@@ -125,27 +80,23 @@ def results_digest(results: dict) -> str:
     )
 
 
-def telemetry_digest(run_path) -> str | None:
+def telemetry_digest(rd: RunDirectory) -> str | None:
     """Digest of the deterministic metric slice, or None without one."""
-    from .export import deterministic_counters, load_telemetry
-
-    path = Path(run_path) / "telemetry.json"
-    if not path.exists():
-        return None
-    try:
-        payload = load_telemetry(path)
-    except ValueError:
+    payload = rd.telemetry()
+    if payload is None:
         return None
     return _sha256(deterministic_counters(payload))
 
 
 def run_row(run_path, *, base=None) -> dict:
-    """One ledger row, derived purely from *run_path*'s artifacts."""
+    """One ledger row, derived purely from *run_path*'s committed files."""
     run_path = Path(run_path)
-    manifest = require_run_dir(run_path)
-    results = load_results(run_path)
-    spec = manifest.get("spec", {})
-    provenance = results.get("provenance", {})
+    with refusals():
+        rd = RunDirectory.open(run_path)
+        results = rd.results()
+        telemetry = telemetry_digest(rd)
+    spec = rd.manifest["spec"]
+    provenance = results["provenance"]
 
     def family(side: dict) -> dict:
         return {
@@ -170,21 +121,18 @@ def run_row(run_path, *, base=None) -> dict:
     row = {
         "run": run_name,
         "spec_key": spec_key(spec),
-        "scenario_key": provenance.get("scenario_content_key"),
-        "topology": provenance.get("topology")
-        or ("tiered" if spec.get("topology") is not None else "star"),
-        "fault_digest": provenance.get("fault_plan_digest"),
+        "scenario_key": provenance["scenario_content_key"],
+        "topology": provenance["topology"],
+        "fault_digest": provenance["fault_plan_digest"],
         "seed": results.get("seed"),
         "n_ases": results.get("n_ases"),
         "shards": provenance.get("shards"),
         "schema_versions": {
-            "manifest": manifest.get("schema_version"),
-            "results": json.loads(
-                (run_path / "results.json").read_text()
-            ).get("schema_version"),
+            "manifest": rd.manifest["schema_version"],
+            "results": results["schema_version"],
         },
         "results_digest": results_digest(results),
-        "telemetry_digest": telemetry_digest(run_path),
+        "telemetry_digest": telemetry,
         "stats": {
             "probes": results.get("probes"),
             "probes_sent": provenance.get("probes_sent"),
@@ -280,13 +228,8 @@ class _LedgerLock:
         stale = False
         if isinstance(payload, dict):
             pid = payload.get("pid")
-            if isinstance(pid, int) and pid > 0:
-                try:
-                    os.kill(pid, 0)
-                except ProcessLookupError:
-                    stale = True
-                except PermissionError:
-                    pass
+            if isinstance(pid, int) and pid > 0 and not pid_alive(pid):
+                stale = True
             held = payload.get("time")
             if (
                 isinstance(held, (int, float))
@@ -394,20 +337,24 @@ class Ledger:
     def rebuild(self) -> dict:
         """Re-derive every row by scanning the ledger directory.
 
-        Indexes each immediate subdirectory holding a ``manifest.json``
-        and a completed ``results.json``; runs recorded from outside
-        the ledger directory are not rediscovered (co-locate run dirs
-        under the ledger dir to keep it fully reconstructible).
+        Indexes every immediate subdirectory whose manifest records a
+        complete run — exactly the runs the pipeline appends after its
+        report commit; a subdirectory without a manifest is not a run.
+        Runs recorded from outside the ledger directory are not
+        rediscovered (co-locate run dirs under the ledger dir to keep it
+        fully reconstructible).
         """
         if not self.base.is_dir():
             raise ObservatoryError(f"{self.base} is not a directory")
         rows = []
-        for child in sorted(self.base.iterdir()):
-            if not (child / "manifest.json").exists():
-                continue
-            if not (child / "results.json").exists():
-                continue
-            rows.append(run_row(child, base=self.base))
+        with refusals():
+            for child in sorted(self.base.iterdir()):
+                try:
+                    complete = RunDirectory(child).complete()
+                except RunNotFound:
+                    continue  # not a run
+                if complete:
+                    rows.append(run_row(child, base=self.base))
         payload = {
             "schema_version": LEDGER_SCHEMA_VERSION,
             "kind": "ledger",

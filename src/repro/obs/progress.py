@@ -100,8 +100,11 @@ class ProgressReporter:
         self._render(force=True)
 
     def finish(self) -> None:
-        """Render the final state and terminate the progress line."""
-        self._render(force=True)
+        """Render the final state and terminate the progress line.  A
+        reporter no shard ever fed (a run served from disk) prints
+        nothing."""
+        if self._shards:
+            self._render(force=True)
         if self._rendered_any and self._is_tty:
             self.stream.write("\n")
             self.stream.flush()

@@ -70,14 +70,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from ..rundir import STREAM_FILE, RunDirectory, RunDirectoryError
 from .metrics import METRICS_SCHEMA_VERSION, Histogram, MetricsRegistry
 from .spans import current_stack
 
 #: Version stamped as ``v`` into every stream event line.
 STREAM_SCHEMA_VERSION = 1
-
-#: The run directory's one telemetry stream file.
-STREAM_FILE = "telemetry-stream.ndjson"
 
 #: Every event kind a telemetry stream may contain.
 STREAM_EVENT_KINDS = frozenset(
@@ -412,16 +410,17 @@ class RunStream:
 
     def finished(self) -> bool:
         """Whether no further stream events can arrive: the run's
-        ``results.json`` exists, or every shard the manifest promises
-        has closed its latest attempt in the events polled so far.  A
-        killed attempt never closes; the parent closes a shard that is
-        out of attempts just before the run fails as partial."""
-        if (self.run_dir / "results.json").exists():
-            return True
+        manifest, read afresh, commits its ``results.json``, or every
+        shard it promises has closed its latest attempt in the events
+        polled so far.  A killed attempt never closes; the parent closes
+        a shard that is out of attempts just before the run fails as
+        partial."""
+        rd = RunDirectory(self.run_dir)
         try:
-            with open(self.run_dir / "manifest.json") as handle:
-                shards = int(json.load(handle)["spec"]["shards"])
-        except (OSError, ValueError, KeyError, TypeError):
+            if rd.committed(rd.results_path.name):
+                return True
+            shards = int(rd.manifest["spec"]["shards"])
+        except (RunDirectoryError, KeyError, TypeError):
             return False
         return all(self._closed.get(shard, False) for shard in range(shards))
 

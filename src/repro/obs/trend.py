@@ -25,8 +25,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from ..rundir import RunDirectory
 from .diff import _asn_table
-from .ledger import Ledger, ObservatoryError
+from .ledger import Ledger, ObservatoryError, refusals
 
 #: Version of the trend --json envelope.
 TREND_SCHEMA_VERSION = 1
@@ -72,9 +73,18 @@ def _verdict(statuses: list[str]) -> str:
     return "stable-open"
 
 
+def _run_table(run_path: Path) -> dict | None:
+    """The run's per-AS table (see :func:`~repro.obs.diff._asn_table`),
+    read once the run still commits the results its row came from."""
+    with refusals():
+        rd = RunDirectory.open(run_path)
+        rd.results()
+        return _asn_table(rd)
+
+
 def _lineage_timeline(run_paths: list[Path]) -> dict:
     """Per-AS flip timelines over the lineage's runs, per family."""
-    tables = [_asn_table(path) for path in run_paths]
+    tables = [_run_table(path) for path in run_paths]
     timeline = []
     counts = {
         "remediated": 0,

@@ -15,9 +15,10 @@ Three consumers, one stream reader (:mod:`repro.obs.stream`):
   gauges: the exact surface a campaign-as-a-service daemon will serve
   from ``/metrics``.
 
-Watching is read-only: it opens the stream file, ``manifest.json`` and
-``results.json`` and touches nothing else, so it is always safe against
-a live run.
+Watching is read-only: it reads the stream file and the run's
+``manifest.json``, which says whether the run has committed its
+results, and touches nothing else, so it is always safe against a live
+run.
 """
 
 from __future__ import annotations

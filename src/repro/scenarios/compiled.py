@@ -34,7 +34,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import pickle
 import zlib
 from pathlib import Path
@@ -60,10 +59,6 @@ SCENARIO_SCHEMA_VERSION = 1
 SCENARIO_CODE_VERSION = 2
 
 _MAGIC = "repro-compiled-scenario"
-
-#: Environment variable naming the default scenario cache directory.
-CACHE_ENV = "REPRO_SCENARIO_CACHE"
-
 
 class ScenarioArtifactError(ValueError):
     """An artifact failed validation (version, key, or digest)."""
@@ -223,12 +218,6 @@ class ScenarioCache:
 
     def __init__(self, root) -> None:
         self.root = Path(root)
-
-    @classmethod
-    def from_env(cls) -> "ScenarioCache | None":
-        """The cache named by :data:`CACHE_ENV`, or ``None`` if unset."""
-        root = os.environ.get(CACHE_ENV)
-        return cls(root) if root else None
 
     def entry_path(self, key: str) -> Path:
         return self.root / f"scenario-{key}.bin"

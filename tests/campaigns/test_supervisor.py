@@ -7,7 +7,10 @@ runs once per module.
 """
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -316,6 +319,26 @@ def test_degrade_decision_is_frozen_in_the_schedule(tmp_path):
     entry = status["schedule"]["epochs"][1]
     assert entry["degraded"] == {"rate": 0.5, "seed": SEED}
     assert entry["results_digest"] == before
+
+
+def test_resume_sweeps_dead_writers_temp_files(reference_campaign, tmp_path):
+    """Re-entering a campaign removes the temp files of writers that
+    died, in the campaign directory and its shard cache, and keeps a
+    live writer's."""
+    camp = copy_of(reference_campaign, tmp_path)
+    child = subprocess.Popen([sys.executable, "-c", ""])
+    child.wait()
+    dead = child.pid
+    planted = [
+        camp / f"schedule.json.tmp{dead}",
+        camp / "shardcache" / f"shard-{'0' * 64}.json.tmp{dead}",
+    ]
+    live = camp / f"ledger.json.tmp{os.getpid()}"
+    for path in (*planted, live):
+        path.write_text("{torn")
+    resume_campaign(camp, workers=0)
+    assert not [path for path in planted if path.exists()]
+    assert live.exists()
 
 
 def test_schedule_survives_torn_write(reference_campaign, tmp_path):

@@ -92,23 +92,6 @@ def test_provenance_records_run_identity(baseline_results, sharded):
         assert provenance["fault_plan_digest"] is None
 
 
-def test_normalize_results_reads_v2_artifacts(baseline_results):
-    from repro.core.report import normalize_results
-
-    legacy = json.loads(json.dumps(baseline_results))
-    legacy["schema_version"] = 2
-    for key in (
-        "scenario_content_key", "topology", "fault_plan_digest"
-    ):
-        legacy["provenance"].pop(key)
-    normalized = normalize_results(legacy)
-    assert normalized["provenance"]["scenario_content_key"] is None
-    assert normalized["provenance"]["topology"] is None
-    assert normalized["provenance"]["fault_plan_digest"] is None
-    with pytest.raises(ValueError):
-        normalize_results({"schema_version": 99})
-
-
 def test_pipeline_ledger_hook_records_run(sharded, tmp_path):
     """run_pipeline(ledger=...) appends the run's ledger row."""
     from repro.obs.ledger import Ledger

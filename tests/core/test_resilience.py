@@ -11,8 +11,14 @@ cells (``tests/conftest.py``).
 
 import io
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +44,8 @@ from ..conftest import (
     CLEAN_SEED as SEED,
     minus_provenance,
 )
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 #: Outbound burst loss on the measurement AS: every probe (but nothing
 #: else) flips a 50/50 coin, so single-shot scans visibly under-count
@@ -379,3 +387,62 @@ def test_inline_shard_exception_fails_only_its_attempts(
     assert run_watch(
         run_dir, json_mode=True, interval=0.01, out=io.StringIO()
     ) == 0
+
+
+def _running(pid: int) -> bool:
+    """Whether *pid* has not exited; a zombie awaiting its reaper has."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/stat").exists(), reason="needs /proc"
+)
+def test_forked_worker_ends_with_its_sigkilled_parent(tmp_path):
+    """A worker hung by a shard-crash clause never exits by itself, and
+    the parent's hang timeout is far away: the worker ends because its
+    parent died."""
+    plan = tmp_path / "hang.json"
+    FaultPlan(
+        name="hang",
+        clauses=[ShardCrash(shard=0, after_probes=20, mode="hang")],
+    ).save(plan)
+    run_dir = tmp_path / "run"
+    parent = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "scan", "--n-ases", "12",
+         "--seed", "7", "--duration", "10", "--shards", "2",
+         "--workers", "2", "--hang-timeout", "600", "--faults", str(plan),
+         "--run-dir", str(run_dir), "--quiet"],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        stdout=subprocess.DEVNULL,
+        start_new_session=True,
+    )
+    try:
+        marker = run_dir / "crash-000-c0-0.marker"
+        deadline = time.monotonic() + 60
+        pid = None
+        while pid is None:
+            assert time.monotonic() < deadline, "shard 0 never hung"
+            assert parent.poll() is None, "the scan ended"
+            found = re.fullmatch(
+                r"pid=(\d+)\n",
+                marker.read_text() if marker.exists() else "",
+            )
+            pid = int(found.group(1)) if found else None
+            time.sleep(0.05)
+        assert _running(pid)
+        parent.kill()
+        parent.wait()
+        deadline = time.monotonic() + 2
+        while _running(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _running(pid)
+    finally:
+        try:
+            os.killpg(parent.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        parent.wait()

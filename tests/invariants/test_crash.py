@@ -316,6 +316,9 @@ def test_sigkill_leaves_what_the_copy_holds(scan_run, tmp_path):
 
     resume_pipeline(run_dir, workers=0, ledger=killed)
     assert _differences(scan_state(killed), scan_state(ledger)) == []
+    # The resume re-entered the run directory: the dead child's temp
+    # file is gone.
+    assert not (run_dir / f"manifest.json.tmp{child.pid}").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from repro.obs.diff import (
 )
 from repro.obs.export import dump_envelope
 from repro.obs.ledger import ObservatoryError
+from repro.rundir import RunDirectory, json_text
 
 
 def test_self_diff_is_empty_and_deterministic(observatory_runs):
@@ -110,14 +111,15 @@ def test_incomparable_runs_refused_unless_advisory(
     observatory_runs, tmp_path
 ):
     _, run_a, _ = observatory_runs
-    tampered = tmp_path / "other-world"
-    shutil.copytree(run_a, tampered)
-    results = json.loads((tampered / "results.json").read_text())
+    # A run of another world: its results carry another scenario key,
+    # committed through its manifest as the pipeline commits them.
+    other = RunDirectory(shutil.copytree(run_a, tmp_path / "other-world"))
+    results = other.results()
     results["provenance"]["scenario_content_key"] = "f" * 64
-    (tampered / "results.json").write_text(json.dumps(results))
+    other.commit({other.results_path.name: json_text(results)})
     with pytest.raises(ObservatoryError, match="not comparable"):
-        run_diff(run_a, tampered)
-    envelope = run_diff(run_a, tampered, advisory=True)
+        run_diff(run_a, other.path)
+    envelope = run_diff(run_a, other.path, advisory=True)
     assert envelope["comparability"]["verdict"] == "advisory"
     assert not envelope["identity"]["scenario_key"]["equal"]
 

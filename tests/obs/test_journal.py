@@ -100,20 +100,6 @@ def test_first_flush_truncates_stale_file(tmp_path):
     ]
 
 
-def test_unbacked_journal_drops_beyond_bound():
-    journal = Journal(shard_id=0, path=None, max_buffered=3)
-    for i in range(5):
-        journal.emit("fabric.path", float(i))
-    assert len(journal.pending) == 3
-    assert journal.events_emitted == 5
-    assert journal.events_dropped == 2
-
-
-def test_journal_rejects_degenerate_bound():
-    with pytest.raises(ValueError):
-        Journal(max_buffered=0)
-
-
 def test_probe_id_is_stable_and_distinct():
     a = probe_id(b"t1.example.")
     assert a == probe_id(b"t1.example.")
@@ -464,3 +450,18 @@ def test_audit_flags_headline_mismatch(index, one_shard):
     results["headline"]["v4"]["reachable_addresses"] += 1
     problems = audit(index, results)
     assert any("reachable addresses" in p for p in problems)
+
+
+def test_load_index_names_a_torn_line(one_shard, tmp_path):
+    """A torn journal outside any run directory is diagnosed where it
+    is torn."""
+    run_dir, _ = one_shard
+    lines = RunDirectory(run_dir).events_path.read_text().splitlines(
+        keepends=True
+    )
+    lines[5] = lines[5][: len(lines[5]) // 2] + "\n"
+    torn = tmp_path / "events.ndjson"
+    torn.write_text("".join(lines))
+    with pytest.raises(ValueError) as caught:
+        load_index(torn)
+    assert f"{torn}:6: not a journal event" in str(caught.value)

@@ -9,7 +9,6 @@ from repro.obs.ledger import (
     Ledger,
     ObservatoryError,
     render_ledger,
-    require_run_dir,
     run_row,
     spec_key,
 )
@@ -87,22 +86,6 @@ def test_render_ledger_lists_runs(observatory_runs):
 def test_require_missing_ledger_errors(tmp_path):
     with pytest.raises(ObservatoryError, match="ledger.json"):
         Ledger(tmp_path).require()
-
-
-def test_require_run_dir_gates(tmp_path):
-    with pytest.raises(ObservatoryError, match="not a directory"):
-        require_run_dir(tmp_path / "nope")
-    empty = tmp_path / "empty"
-    empty.mkdir()
-    with pytest.raises(ObservatoryError, match="no manifest.json"):
-        require_run_dir(empty)
-    legacy = tmp_path / "legacy"
-    legacy.mkdir()
-    (legacy / "manifest.json").write_text(
-        json.dumps({"schema_version": 99, "spec": {}})
-    )
-    with pytest.raises(ObservatoryError, match="schema_version=99"):
-        require_run_dir(legacy)
 
 
 def test_incomplete_run_is_skipped_by_rebuild(observatory_runs, tmp_path):

@@ -67,10 +67,10 @@ def test_eta_appears_once_rate_is_known():
 def test_silent_when_nothing_rendered():
     stream = TtyStream()
     reporter = ProgressReporter(stream, min_interval=0.0)
-    # finish() on a reporter that rendered still terminates the line;
-    # a reporter created and immediately finished renders final state.
+    # A reporter no shard fed (a run served from disk) prints nothing,
+    # not a zero line.
     reporter.finish()
-    assert stream.getvalue().startswith("\r")
+    assert stream.getvalue() == ""
 
 
 def test_reused_shard_counts_toward_totals_not_rate():

@@ -11,7 +11,6 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -161,10 +160,3 @@ class TestScenarioCache:
         assert blob is None
         assert scenario.params == PARAMS
 
-    def test_from_env(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_SCENARIO_CACHE", raising=False)
-        assert ScenarioCache.from_env() is None
-        monkeypatch.setenv("REPRO_SCENARIO_CACHE", str(tmp_path / "c"))
-        cache = ScenarioCache.from_env()
-        assert cache is not None
-        assert cache.root == Path(tmp_path / "c")

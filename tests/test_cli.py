@@ -110,8 +110,23 @@ def test_scan_metrics_without_run_dir_prints_telemetry(capsys):
     assert "scan_probes_sent_total" in out
 
 
-def test_obs_missing_telemetry_errors(capsys, tmp_path):
-    assert main(["obs", str(tmp_path)]) == 1
+@pytest.fixture(scope="module")
+def journaled_run(tmp_path_factory):
+    run_dir = tmp_path_factory.mktemp("journaled") / "run"
+    assert main(["scan", "--n-ases", "15", "--seed", "3",
+                 "--duration", "40", "--journal", "--workers", "0",
+                 "--run-dir", str(run_dir), "--quiet"]) == 0
+    return run_dir
+
+
+def test_obs_missing_telemetry_errors(capsys, tmp_path, journaled_run):
+    """An empty directory is not a run (exit 2); a run made without
+    --metrics has no telemetry to show (exit 1, pointing at the flag)."""
+    assert main(["obs", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "no manifest.json" in err
+    assert main(["obs", str(journaled_run)]) == 1
     err = capsys.readouterr().err
     assert "telemetry.json" in err
     assert "--metrics" in err
@@ -348,19 +363,22 @@ def test_star_topology_journal_matches_pins(capsys, tmp_path):
 
 
 def test_explain_missing_journal_errors(capsys, tmp_path):
-    assert main(["explain", str(tmp_path), "--audit"]) == 1
+    """An empty directory is not a run (exit 2); a run made without
+    --journal has no journal to explain (exit 1, pointing at the
+    flag)."""
+    assert main(["explain", str(tmp_path), "--audit"]) == 2
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "no manifest.json" in err
+    run_dir = tmp_path / "run"
+    assert main(["scan", "--n-ases", "12", "--seed", "3",
+                 "--duration", "10", "--workers", "0",
+                 "--run-dir", str(run_dir), "--quiet"]) == 0
+    capsys.readouterr()
+    assert main(["explain", str(run_dir), "--audit"]) == 1
     err = capsys.readouterr().err
     assert "events.ndjson" in err
     assert "--journal" in err
-
-
-@pytest.fixture(scope="module")
-def journaled_run(tmp_path_factory):
-    run_dir = tmp_path_factory.mktemp("journaled") / "run"
-    assert main(["scan", "--n-ases", "15", "--seed", "3",
-                 "--duration", "40", "--journal", "--workers", "0",
-                 "--run-dir", str(run_dir), "--quiet"]) == 0
-    return run_dir
 
 
 def test_explain_unknown_probe_errors(capsys, journaled_run):
@@ -371,6 +389,9 @@ def test_explain_unknown_probe_errors(capsys, journaled_run):
 def test_explain_torn_journal_exits_two_with_one_line(
     capsys, tmp_path, journaled_run
 ):
+    """A torn committed journal fails its digest before any line is
+    parsed (``load_index`` names a torn line of a file outside a run:
+    ``tests/obs/test_journal.py``)."""
     run_dir = tmp_path / "run"
     shutil.copytree(journaled_run, run_dir)
     events_path = run_dir / "events.ndjson"
@@ -381,7 +402,7 @@ def test_explain_torn_journal_exits_two_with_one_line(
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert len(err.splitlines()) == 1
-    assert "events.ndjson:6" in err
+    assert f"{events_path} does not match the digest" in err
 
 
 def test_parser_requires_command():
@@ -483,9 +504,24 @@ def test_scan_resume_progress_counts_recorded_shards(capsys, tmp_path):
 
 def test_scan_resume_missing_dir_errors(capsys, tmp_path):
     assert main(["scan", "--resume", str(tmp_path / "nowhere"),
-                 "--quiet"]) == 1
-    assert "error:" in capsys.readouterr().err
+                 "--quiet"]) == 2
+    assert_one_error_line(capsys.readouterr().err)
     assert not (tmp_path / "nowhere").exists()
+
+
+def test_scan_resume_of_a_finished_run_prints_no_progress(
+    capsys, journaled_run, tmp_path
+):
+    """A run served from disk feeds the progress line nothing, so it
+    prints none."""
+    run_dir = shutil.copytree(journaled_run, tmp_path / "run")
+    assert main(["scan", "--resume", str(run_dir)]) == 0
+    err = capsys.readouterr().err
+    assert not [line for line in err.splitlines() if "scan:" in line]
+    assert (
+        "stages skipped (resumed): build, scan, collect, analyze, report"
+        in err
+    )
 
 
 def test_scan_topology_tiered_runs_the_pipeline(capsys, tmp_path):
