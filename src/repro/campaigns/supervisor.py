@@ -49,11 +49,10 @@ schedule so the gap is explicit, never silent.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -64,9 +63,9 @@ from ..core.pipeline import (
     run_pipeline,
 )
 from ..durable import sweep_temp_files, write_atomic
-from ..obs.export import dump_envelope
-from ..obs.ledger import ledger_digest, results_digest
-from ..rundir import RunDirectory, RunNotFound
+from ..obs.export import dump_envelope, load_envelope
+from ..obs.ledger import Ledger, ledger_digest, results_digest
+from ..rundir import RunDirectory, RunDirectoryError, RunNotFound
 from .evolution import EvolutionPlan, evolve_spec
 
 #: Version of the ``schedule.json`` write-ahead schedule.
@@ -128,42 +127,38 @@ class CampaignPolicy:
             raise ValueError("degrade_rate must be in (0, 1]")
 
     def to_payload(self) -> dict[str, Any]:
-        return {
-            "failure_policy": self.failure_policy,
-            "max_attempts": self.max_attempts,
-            "backoff": self.backoff,
-            "deadline": self.deadline,
-            "degrade_rate": self.degrade_rate,
-            "incremental": self.incremental,
-        }
+        return asdict(self)
 
     @classmethod
     def from_payload(cls, payload: dict[str, Any]) -> "CampaignPolicy":
-        return cls(
-            failure_policy=payload.get("failure_policy", "abort"),
-            max_attempts=int(payload.get("max_attempts", 3)),
-            backoff=float(payload.get("backoff", 0.0)),
-            deadline=(
-                None
-                if payload.get("deadline") is None
-                else float(payload["deadline"])
-            ),
-            degrade_rate=float(payload.get("degrade_rate", 0.25)),
-            incremental=bool(payload.get("incremental", True)),
-        )
+        return cls(**{f.name: payload[f.name] for f in fields(cls)})
 
 
-def _epoch_dir_name(epoch: int) -> str:
-    return f"epoch-{epoch:03d}"
+def _pending_entry(epoch: int) -> dict[str, Any]:
+    """Epoch *epoch*'s schedule entry before its first attempt."""
+    return {
+        "epoch": epoch,
+        "status": "pending",
+        "attempts": 0,
+        "run_dir": f"epoch-{epoch:03d}",
+        "degraded": None,
+        "results_digest": None,
+        "cache_hits": None,
+        "error": None,
+    }
 
 
 class CampaignSupervisor:
     """Drives one campaign directory through its epochs.
 
     Construct via :func:`run_campaign` (new campaign) or
-    :func:`resume_campaign` (existing directory); both funnel into
-    :meth:`drive`, which walks the write-ahead schedule and runs every
-    epoch that is not already ``done`` or ``skipped``.
+    :meth:`open` (existing directory); both funnel into :meth:`drive`,
+    which walks the write-ahead schedule and runs every epoch that is
+    not already ``done`` or ``skipped``.
+
+    Each campaign record has one reader: :meth:`open` reads
+    ``campaign.json``, :meth:`load_schedule` ``schedule.json`` and
+    :meth:`~repro.obs.ledger.Ledger.load` ``ledger.json``.
     """
 
     def __init__(
@@ -177,11 +172,8 @@ class CampaignSupervisor:
         workers: int | None = None,
         echo: Callable[[str], None] | None = None,
     ) -> None:
-        # Checked before drive() creates the campaign directory.
         if epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {epochs}")
-        if workers is not None and workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
         if spec.evolution is not None:
             raise CampaignError(
                 "the base spec must not carry an evolution block — the "
@@ -194,6 +186,45 @@ class CampaignSupervisor:
         self.policy = policy
         self.workers = workers
         self.echo = echo or (lambda line: None)
+
+    @classmethod
+    def open(
+        cls,
+        base,
+        *,
+        policy: CampaignPolicy | None = None,
+        workers: int | None = None,
+        echo: Callable[[str], None] | None = None,
+    ) -> "CampaignSupervisor":
+        """The campaign that *base*'s ``campaign.json`` records, run
+        under *policy* if one is given; a record that does not load is
+        refused with one line naming it."""
+        path = Path(base) / "campaign.json"
+        if not path.exists():
+            raise CampaignError(
+                f"{path} not found — not a campaign directory (start one "
+                "with `repro-dsav campaign run`)"
+            )
+        payload = load_envelope(
+            path, kind="campaign", version=CAMPAIGN_SCHEMA_VERSION
+        )
+        try:
+            return cls(
+                base,
+                CampaignSpec.from_payload(payload["spec"]),
+                EvolutionPlan.from_payload(payload["plan"]),
+                payload["epochs"],
+                policy or CampaignPolicy.from_payload(payload["policy"]),
+                workers=workers,
+                echo=echo,
+            )
+        except (
+            AttributeError, CampaignError, KeyError, TypeError, ValueError
+        ) as exc:
+            raise ValueError(
+                f"{path} does not hold a campaign this code can read "
+                f"({type(exc).__name__}: {exc})"
+            ) from None
 
     # -- identity and schedule persistence ------------------------------
 
@@ -215,81 +246,67 @@ class CampaignSupervisor:
             "policy": self.policy.to_payload(),
         }
 
-    def bind(self) -> None:
-        """Record the campaign identity, or verify it matches.
+    def bind(self) -> dict[str, Any]:
+        """Record the campaign identity, or verify it matches; returns
+        the schedule to drive.
 
         A campaign directory belongs to exactly one (spec, plan,
         epochs) triple; re-entering it with different parameters would
         mix epochs from two different longitudinal studies.  The
         *policy* is runtime control, not identity — resuming with a
         longer deadline or a different failure policy is legitimate, so
-        a changed policy is re-recorded rather than refused.  A campaign
-        re-entered first loses the temp files of killed writers, in its
-        directory and its shard cache.
+        a changed policy is re-recorded rather than refused.  Every
+        record is read before any is written, so a refused one leaves
+        the directory as it was.  A campaign re-entered loses the temp
+        files of killed writers, in its directory and its shard cache.
         """
+        recorded = None
         if self.campaign_path.exists():
-            recorded = json.loads(self.campaign_path.read_text())
-            mine = self.campaign_payload()
+            recorded = CampaignSupervisor.open(self.base)
             for key in ("spec", "plan", "epochs"):
-                if recorded.get(key) != mine[key]:
+                if getattr(recorded, key) != getattr(self, key):
                     raise CampaignError(
                         f"{self.campaign_path} records a different "
                         f"campaign ({key} differs) — refusing to mix "
                         "epochs from two studies in one directory"
                     )
+        schedule = self.load_schedule()
+        Ledger(self.base).load()
+        if recorded is not None:
             for directory in (self.base, self.base / "shardcache"):
                 if directory.is_dir():
                     sweep_temp_files(directory)
-            if recorded.get("policy") != mine["policy"]:
-                self._save(self.campaign_path, mine)
-            return
-        self._save(self.campaign_path, self.campaign_payload())
+        if recorded is None or recorded.policy != self.policy:
+            self._save(self.campaign_path, self.campaign_payload())
+        return schedule
 
     def load_schedule(self) -> dict[str, Any]:
-        if not self.schedule_path.exists():
+        """The recorded schedule, or every epoch pending before the
+        first schedule write."""
+        path = self.schedule_path
+        if not path.exists():
             return {
                 "schema_version": SCHEDULE_SCHEMA_VERSION,
                 "kind": "campaign-schedule",
-                "epochs": [
-                    {
-                        "epoch": epoch,
-                        "status": "pending",
-                        "attempts": 0,
-                        "run_dir": _epoch_dir_name(epoch),
-                        "degraded": None,
-                        "results_digest": None,
-                        "cache_hits": None,
-                        "error": None,
-                    }
-                    for epoch in range(self.epochs)
-                ],
+                "epochs": [_pending_entry(e) for e in range(self.epochs)],
             }
-        try:
-            payload = json.loads(self.schedule_path.read_text())
-        except ValueError as exc:
-            raise CampaignError(
-                f"{self.schedule_path} is not valid JSON ({exc}) — the "
-                "schedule cannot be trusted; restore it or restart the "
-                "campaign in a fresh directory"
-            ) from exc
-        version = payload.get("schema_version")
-        if version != SCHEDULE_SCHEMA_VERSION:
-            raise CampaignError(
-                f"{self.schedule_path} has schema_version={version!r}, "
-                f"this code reads version {SCHEDULE_SCHEMA_VERSION}"
+        payload = load_envelope(
+            path, kind="campaign-schedule", version=SCHEDULE_SCHEMA_VERSION
+        )
+        entries = payload.get("epochs")
+        if not isinstance(entries, list) or len(entries) != self.epochs:
+            raise ValueError(
+                f"{path} does not schedule the {self.epochs} epoch(s) "
+                "the campaign declares"
             )
-        entries = payload.get("epochs", [])
-        if len(entries) != self.epochs:
-            raise CampaignError(
-                f"{self.schedule_path} schedules {len(entries)} "
-                f"epoch(s), campaign declares {self.epochs}"
-            )
-        for entry in entries:
-            if entry.get("status") not in _SCHEDULE_STATUSES:
-                raise CampaignError(
-                    f"{self.schedule_path} has an unknown status "
-                    f"{entry.get('status')!r} for epoch "
-                    f"{entry.get('epoch')}"
+        for epoch, entry in enumerate(entries):
+            if (
+                not isinstance(entry, dict)
+                or entry.keys() != _pending_entry(epoch).keys()
+                or entry["status"] not in _SCHEDULE_STATUSES
+            ):
+                raise ValueError(
+                    f"{path} has a malformed entry for epoch {epoch}"
                 )
         return payload
 
@@ -324,7 +341,7 @@ class CampaignSupervisor:
             recorded = RunDirectory.open(run_dir).read_spec()
         except RunNotFound:
             return False
-        except (ValueError, KeyError, TypeError):
+        except RunDirectoryError:
             return True
         return recorded != self.epoch_spec(entry)
 
@@ -439,9 +456,13 @@ class CampaignSupervisor:
 
     def drive(self) -> dict[str, Any]:
         """Run every unfinished epoch; returns the final status payload."""
+        # Checked before the campaign directory is created.
+        if self.workers is not None and self.workers < 0:
+            raise ValueError(f"workers must be >= 0, got {self.workers}")
+        if self.base.is_file():
+            raise ValueError(f"{self.base} is a file, not a directory")
         self.base.mkdir(parents=True, exist_ok=True)
-        self.bind()
-        schedule = self.load_schedule()
+        schedule = self.bind()
         # Persist the initial schedule before any epoch runs so a crash
         # during epoch 0 still finds a schedule to resume from.
         self.save_schedule(schedule)
@@ -450,7 +471,24 @@ class CampaignSupervisor:
             if entry["status"] in ("done", "skipped"):
                 continue
             self._run_epoch(schedule, entry, started)
-        return campaign_status(self.base)
+        return self.status()
+
+    def status(self) -> dict[str, Any]:
+        """Snapshot of the campaign: identity, schedule, ledger."""
+        schedule = self.load_schedule()
+        counts = {status: 0 for status in _SCHEDULE_STATUSES}
+        for entry in schedule["epochs"]:
+            counts[entry["status"]] += 1
+        ledger = Ledger(self.base)
+        return {
+            "campaign_dir": str(self.base),
+            "campaign": self.campaign_payload(),
+            "schedule": schedule,
+            "counts": counts,
+            "ledger_digest": (
+                ledger_digest(ledger.load()) if ledger.path.exists() else None
+            ),
+        }
 
 
 def run_campaign(
@@ -495,89 +533,26 @@ def resume_campaign(
     optionally overrides the recorded one (e.g. a longer deadline for
     the retry).
     """
-    base = Path(campaign_dir)
-    path = base / "campaign.json"
-    if not path.exists():
-        raise CampaignError(
-            f"{path} not found — not a campaign directory (start one "
-            "with `repro-dsav campaign run`)"
-        )
-    try:
-        recorded = json.loads(path.read_text())
-    except ValueError as exc:
-        raise CampaignError(
-            f"{path} is not valid JSON ({exc}) — the campaign cannot "
-            "be trusted"
-        ) from exc
-    version = recorded.get("schema_version")
-    if version != CAMPAIGN_SCHEMA_VERSION:
-        raise CampaignError(
-            f"{path} has schema_version={version!r}, this code reads "
-            f"version {CAMPAIGN_SCHEMA_VERSION}"
-        )
-    supervisor = CampaignSupervisor(
-        base,
-        CampaignSpec.from_payload(recorded["spec"]),
-        EvolutionPlan.from_payload(recorded["plan"]),
-        int(recorded["epochs"]),
-        (
-            policy
-            if policy is not None
-            else CampaignPolicy.from_payload(recorded.get("policy", {}))
-        ),
-        workers=workers,
-        echo=echo,
-    )
-    return supervisor.drive()
+    return CampaignSupervisor.open(
+        campaign_dir, policy=policy, workers=workers, echo=echo
+    ).drive()
 
 
 def campaign_status(campaign_dir) -> dict[str, Any]:
     """Snapshot of a campaign directory: identity, schedule, ledger."""
-    base = Path(campaign_dir)
-    campaign_path = base / "campaign.json"
-    if not campaign_path.exists():
-        raise CampaignError(
-            f"{campaign_path} not found — not a campaign directory"
-        )
-    campaign = json.loads(campaign_path.read_text())
-    schedule_path = base / "schedule.json"
-    if schedule_path.exists():
-        schedule = json.loads(schedule_path.read_text())
-    else:
-        schedule = {
-            "schema_version": SCHEDULE_SCHEMA_VERSION,
-            "kind": "campaign-schedule",
-            "epochs": [],
-        }
-    counts = {status: 0 for status in _SCHEDULE_STATUSES}
-    for entry in schedule.get("epochs", []):
-        counts[entry.get("status", "pending")] += 1
-    ledger_path = base / "ledger.json"
-    digest = None
-    if ledger_path.exists():
-        try:
-            digest = ledger_digest(json.loads(ledger_path.read_text()))
-        except ValueError:
-            digest = None
-    return {
-        "campaign_dir": str(base),
-        "campaign": campaign,
-        "schedule": schedule,
-        "counts": counts,
-        "ledger_digest": digest,
-    }
+    return CampaignSupervisor.open(campaign_dir).status()
 
 
 def render_status(payload: dict[str, Any]) -> str:
     """Human-readable campaign status table."""
     campaign = payload["campaign"]
     counts = payload["counts"]
-    plan = campaign.get("plan", {})
+    plan = campaign["plan"]
     lines = [
         f"campaign {payload['campaign_dir']}: "
-        f"{campaign.get('epochs')} epoch(s), plan "
-        f"{plan.get('name') or '(unnamed)'} "
-        f"[{len(plan.get('clauses', []))} clause(s)]",
+        f"{campaign['epochs']} epoch(s), plan "
+        f"{plan['name'] or '(unnamed)'} "
+        f"[{len(plan['clauses'])} clause(s)]",
         "  "
         + ", ".join(
             f"{counts[status]} {status}"
@@ -585,23 +560,21 @@ def render_status(payload: dict[str, Any]) -> str:
             if counts[status]
         ),
     ]
-    for entry in payload["schedule"].get("epochs", []):
+    for entry in payload["schedule"]["epochs"]:
         flags = []
-        if entry.get("degraded"):
-            flags.append(
-                f"degraded rate={entry['degraded'].get('rate')}"
-            )
-        if entry.get("cache_hits"):
+        if entry["degraded"]:
+            flags.append(f"degraded rate={entry['degraded'].get('rate')}")
+        if entry["cache_hits"]:
             flags.append(f"{entry['cache_hits']} cached shard(s)")
-        if entry.get("error"):
+        if entry["error"]:
             flags.append(entry["error"])
         suffix = f" ({'; '.join(flags)})" if flags else ""
-        digest = entry.get("results_digest")
+        digest = entry["results_digest"]
         short = f" {digest[:12]}…" if digest else ""
         lines.append(
             f"  epoch {entry['epoch']:>3} {entry['status']:<8} "
             f"attempts={entry['attempts']}{short}{suffix}"
         )
-    if payload.get("ledger_digest"):
+    if payload["ledger_digest"]:
         lines.append(f"  ledger digest {payload['ledger_digest'][:16]}…")
     return "\n".join(lines)

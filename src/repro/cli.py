@@ -129,6 +129,17 @@ def cmd_scan(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
+    # --json is written after the whole scan, so it is vetted before.
+    json_path = Path(args.json) if args.json is not None else None
+    if json_path is not None and (
+        json_path.is_dir() or not json_path.parent.is_dir()
+    ):
+        print(
+            f"error: --json {args.json} must name a file in an existing "
+            "directory",
+            file=sys.stderr,
+        )
+        return 2
 
     spec = None
     if args.resume is not None:

@@ -316,13 +316,10 @@ class CampaignSpec:
             seed=payload["seed"],
             n_ases=payload["n_ases"],
             shards=payload["shards"],
-            # Manifests written before partition schemes existed were
-            # produced by the modulo split; defaulting to it keeps their
-            # reused shard artifacts consistent on resume.
-            partition=payload.get("partition", "modulo"),
-            metrics=payload.get("metrics", False),
-            journal=payload.get("journal", False),
-            stream=payload.get("stream", False),
+            partition=payload["partition"],
+            metrics=payload["metrics"],
+            journal=payload["journal"],
+            stream=payload["stream"],
             faults=payload.get("faults"),
             topology=payload.get("topology"),
             evolution=payload.get("evolution"),

@@ -48,31 +48,34 @@ TELEMETRY_SCHEMA_VERSION = 1
 # ---------------------------------------------------------------------------
 #
 # Every machine-readable observatory document (ledger.json, the diff
-# and trend --json payloads) shares one envelope convention:
-# ``schema_version`` + ``kind`` at the top level, and canonical
-# rendering (sorted keys, two-space indent, trailing newline) so
-# identical content is identical bytes.
-
-
-def validate_envelope(payload: dict, *, kind: str, version: int) -> None:
-    """Check the envelope header; raises ValueError with a diagnosis."""
-    if not isinstance(payload, dict):
-        raise ValueError(f"{kind} artifact: top level is not an object")
-    got = payload.get("schema_version")
-    if got != version:
-        raise ValueError(
-            f"{kind} artifact has schema_version={got!r}, "
-            f"this code reads version {version}"
-        )
-    if payload.get("kind") != kind:
-        raise ValueError(
-            f"artifact kind={payload.get('kind')!r}, expected {kind!r}"
-        )
+# and trend --json payloads) and every campaign record (campaign.json,
+# schedule.json) shares one envelope convention: ``schema_version`` +
+# ``kind`` at the top level, and canonical rendering (sorted keys,
+# two-space indent, trailing newline) so identical content is
+# identical bytes.
 
 
 def dump_envelope(payload: dict) -> str:
     """Canonical text form: byte-identical for identical content."""
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def load_envelope(path: Path, *, kind: str, version: int) -> dict:
+    """The envelope stored at *path*; raises ValueError, one line naming
+    the file, unless it is a JSON object of *kind* and *version*."""
+    try:
+        payload = json.loads(path.read_bytes())
+    except ValueError as exc:
+        raise ValueError(f"{path} is not valid JSON ({exc})") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path} does not hold a JSON object")
+    found = (payload.get("kind"), payload.get("schema_version"))
+    if found != (kind, version):
+        raise ValueError(
+            f"{path} holds kind={found[0]!r} schema_version={found[1]!r}, "
+            f"this code reads kind={kind!r} schema_version={version}"
+        )
+    return payload
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from pathlib import Path
 
 from ..durable import pid_alive, write_atomic
 from ..rundir import RunDirectory, RunDirectoryError, RunNotFound
-from .export import deterministic_counters, dump_envelope, validate_envelope
+from .export import deterministic_counters, dump_envelope, load_envelope
 
 #: Version of the ledger.json envelope.
 LEDGER_SCHEMA_VERSION = 1
@@ -267,19 +267,14 @@ class Ledger:
                 "rows": [],
             }
         try:
-            payload = json.loads(self.path.read_text())
+            return load_envelope(
+                self.path, kind="ledger", version=LEDGER_SCHEMA_VERSION
+            )
         except ValueError as exc:
             raise ObservatoryError(
-                f"{self.path} is not valid JSON ({exc}) — rebuild it "
-                f"with `repro-dsav ledger {self.base} --rebuild`"
-            )
-        try:
-            validate_envelope(
-                payload, kind="ledger", version=LEDGER_SCHEMA_VERSION
-            )
-        except ValueError as exc:
-            raise ObservatoryError(str(exc))
-        return payload
+                f"{exc} — rebuild it with `repro-dsav ledger {self.base} "
+                "--rebuild`"
+            ) from None
 
     def require(self) -> dict:
         """Like :meth:`load`, but a missing or empty ledger is an error.

@@ -174,10 +174,19 @@ class RunDirectory:
 
     def read_spec(self):
         """The :class:`~repro.core.pipeline.CampaignSpec` the manifest
-        records."""
+        records; a manifest without one that loads is refused."""
         from .core.pipeline import CampaignSpec
 
-        return CampaignSpec.from_payload(self.manifest["spec"])
+        # Read outside the try: RunNotFound is a ValueError too, and
+        # bind_spec starts a new run on it.
+        manifest = self.manifest
+        try:
+            return CampaignSpec.from_payload(manifest["spec"])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise RunDirectoryError(
+                f"{self.manifest_path} records no spec this code can read "
+                f"({type(exc).__name__}: {exc})"
+            ) from None
 
     def bind_spec(self, spec) -> None:
         """Record *spec* in a new run's manifest, or verify it matches.

@@ -157,6 +157,30 @@ def read_artifact_header(data: bytes) -> dict[str, Any]:
     return header
 
 
+def _check_artifact(data: bytes, expect_key: str | None) -> None:
+    """Refuse artifact *data* unless its header, content key and digest
+    pass."""
+    header = read_artifact_header(data)
+    if expect_key is not None and header["content_key"] != expect_key:
+        raise ScenarioArtifactError(
+            f"scenario artifact was built from different parameters "
+            f"(content key {header['content_key'][:12]}…, expected "
+            f"{expect_key[:12]}…)"
+        )
+    digest = hashlib.sha256(data[data.find(b"\n") + 1 :]).hexdigest()
+    if digest != header["payload_sha256"]:
+        raise ScenarioArtifactError(
+            f"scenario artifact payload failed its digest "
+            f"(recorded {header['payload_sha256'][:12]}…, "
+            f"found {digest[:12]}…)"
+        )
+
+
+def _unpickle(data: bytes) -> "BuiltScenario":
+    """The scenario in artifact *data*, once checked."""
+    return pickle.loads(zlib.decompress(data[data.find(b"\n") + 1 :]))
+
+
 def deserialize_scenario(
     data: bytes, *, expect_key: str | None = None
 ) -> "BuiltScenario":
@@ -166,22 +190,8 @@ def deserialize_scenario(
     scanned) guards against loading an artifact built from different
     parameters or by a different builder version.
     """
-    header = read_artifact_header(data)
-    if expect_key is not None and header["content_key"] != expect_key:
-        raise ScenarioArtifactError(
-            f"scenario artifact was built from different parameters "
-            f"(content key {header['content_key'][:12]}…, expected "
-            f"{expect_key[:12]}…)"
-        )
-    payload = data[data.find(b"\n") + 1 :]
-    digest = hashlib.sha256(payload).hexdigest()
-    if digest != header["payload_sha256"]:
-        raise ScenarioArtifactError(
-            f"scenario artifact payload failed its digest "
-            f"(recorded {header['payload_sha256'][:12]}…, "
-            f"found {digest[:12]}…)"
-        )
-    return pickle.loads(zlib.decompress(payload))
+    _check_artifact(data, expect_key)
+    return _unpickle(data)
 
 
 def write_scenario(path, scenario: "BuiltScenario") -> bytes:
@@ -235,12 +245,7 @@ class ScenarioCache:
         except OSError:
             return None
         try:
-            header = read_artifact_header(data)
-            if header["content_key"] != key:
-                raise ScenarioArtifactError("cache entry key mismatch")
-            payload = data[data.find(b"\n") + 1 :]
-            if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
-                raise ScenarioArtifactError("cache entry digest mismatch")
+            _check_artifact(data, key)
         except ScenarioArtifactError:
             path.unlink(missing_ok=True)
             return None
@@ -266,7 +271,8 @@ def build_or_load(
     if cache is not None:
         data = cache.get_bytes(params)
         if data is not None:
-            return deserialize_scenario(data), data, "cache"
+            # get_bytes has checked the entry.
+            return _unpickle(data), data, "cache"
     from .internet import build_internet
 
     scenario = build_internet(params)

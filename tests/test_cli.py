@@ -195,14 +195,19 @@ def write_crash_plan(tmp_path, mode: str) -> Path:
 
 def fill_placeholders(flags: list[str], tmp_path) -> list[str]:
     """Replace FILE with an existing regular file, HANG_PLAN with a
-    written plan that hangs shard 1, and DIR with a path that does not
-    exist yet."""
+    written plan that hangs shard 1, DIR with a path that does not
+    exist yet, FOLDER with an existing directory and ORPHAN with a file
+    in a directory that does not exist."""
     regular_file = tmp_path / "file"
     regular_file.write_text("not a directory\n")
+    folder = tmp_path / "folder"
+    folder.mkdir(exist_ok=True)
     placeholders = {
         "FILE": str(regular_file),
         "HANG_PLAN": str(write_crash_plan(tmp_path, "hang")),
         "DIR": str(tmp_path / "dir"),
+        "FOLDER": str(folder),
+        "ORPHAN": str(tmp_path / "missing" / "out.json"),
     }
     return [placeholders.get(flag, flag) for flag in flags]
 
@@ -236,6 +241,8 @@ SCAN_BAD_INPUT = {
     "resume-file": ["--resume", "FILE"],
     "scenario-cache-file": ["--scenario-cache", "FILE"],
     "ledger-file": ["--ledger", "FILE"],
+    "json-folder": ["--json", "FOLDER"],
+    "json-in-missing-folder": ["--json", "ORPHAN"],
     "hang-crash-without-hang-timeout": [
         "--shards", "2", "--workers", "2", "--faults", "HANG_PLAN",
     ],
@@ -509,6 +516,22 @@ def test_scan_resume_missing_dir_errors(capsys, tmp_path):
     assert not (tmp_path / "nowhere").exists()
 
 
+def test_scan_of_a_manifest_without_a_spec_exits_two(capsys, tmp_path):
+    run = tmp_path / "run"
+    run.mkdir()
+    manifest = run / "manifest.json"
+    manifest.write_text('{"schema_version": 1, "stages_completed": []}')
+    for flags in (["--resume", str(run)], ["--run-dir", str(run)]):
+        assert main(["scan", *flags, "--n-ases", "12", "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert str(manifest) in err
+    assert list(run.iterdir()) == [manifest]
+    assert manifest.read_text() == (
+        '{"schema_version": 1, "stages_completed": []}'
+    )
+
+
 def test_scan_resume_of_a_finished_run_prints_no_progress(
     capsys, journaled_run, tmp_path
 ):
@@ -768,6 +791,17 @@ def test_campaign_run_bad_input_exits_two_with_one_line(
     ]) == 2
     assert_one_error_line(capsys.readouterr().err)
     assert not camp.exists()
+
+
+def test_campaign_run_into_a_file_exits_two_with_one_line(capsys, tmp_path):
+    [regular_file] = fill_placeholders(["FILE"], tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    assert main([
+        "campaign", "run", regular_file, "--plan", str(WHAC_A_MOLE),
+        "--epochs", "2", "--n-ases", "12", "--duration", "10", "--quiet",
+    ]) == 2
+    assert_one_error_line(capsys.readouterr().err)
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_campaign_resume_refuses_bad_workers(capsys, campaign_cli_dir):

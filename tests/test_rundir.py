@@ -35,6 +35,29 @@ def test_open_refuses_paths_that_hold_no_run(tmp_path):
         RunDirectory.open(torn)
 
 
+def test_a_manifest_without_a_spec_that_loads_is_refused(tmp_path):
+    from repro.core.pipeline import CampaignSpec
+
+    spec = CampaignSpec(seed=1, n_ases=10, shards=1).to_payload()
+    del spec["partition"]
+    manifests = {
+        "spec-less": {"schema_version": 1, "stages_completed": []},
+        "no-partition": {
+            "schema_version": 1, "spec": spec, "stages_completed": [],
+        },
+    }
+    for name, manifest in manifests.items():
+        rd = RunDirectory(tmp_path / name)
+        rd.path.mkdir()
+        rd.manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(RunDirectoryError) as caught:
+            RunDirectory.open(rd.path).read_spec()
+        assert not isinstance(caught.value, RunNotFound)
+        assert str(caught.value).startswith(
+            f"{rd.manifest_path} records no spec"
+        )
+
+
 def _run(tmp_path) -> RunDirectory:
     """A run directory that committed two files, with a third beside
     them."""
